@@ -157,7 +157,7 @@ def _record(
 def _cmd_solve(args) -> int:
     g = _read_graph(args.input, args.format)
     cliques, stats, wall_ms = _run(g, args.raw)
-    assignment = PrimeAssignment.default(g.n)
+    assignment = PrimeAssignment.default(g.n) if args.ids else None
     sys.stdout.write(graph_io.write_cliques(cliques, with_ids=args.ids, assignment=assignment))
     if args.stats:
         record = _record(stats, wall_ms, len(cliques), family="file", n=g.n)

@@ -39,21 +39,19 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {self.n}")
+        n = self.n
         for u, v in self.edges:
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
+            if not (1 <= u < v <= n):
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                raise ValueError(f"bad edge ({u}, {v}) for n={n}")
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from unordered pairs; duplicates collapse silently."""
-        edges = set()
-        for u, v in pairs:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            edges.add((min(u, v), max(u, v)))
-        return cls(n, frozenset(edges))
+        return cls(n, frozenset((u, v) if u < v else (v, u) for u, v in pairs))
 
     def adjacency(self) -> dict[int, set[int]]:
         """Open neighborhoods as a dict vertex -> set of neighbors."""

@@ -21,9 +21,12 @@ branches recurse; ids from the induced subgraph are multiplied by the
 pivot's value. A pivot whose induced subgraph is empty is emitted as a
 singleton clique, which the plain recursion would otherwise drop.
 
-Raw output is a list of clique ids in emission order. It always covers
-every maximal clique but may include ids that are cliques without being
-maximal; sanitizing removes those along with any duplicates.
+The paper's literal (raw) output is a list of clique ids in emission
+order. It covers every maximal clique but may include non-maximal ones:
+pivot-free ids inside the pivot's closed neighborhood. Sanitized
+enumeration drops each pivot-free id that divides the pivot's weight, so
+it emits every maximal clique exactly once; ``sanitize`` stays the
+integrity check and prune for literal lists.
 """
 
 import math
@@ -32,7 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Sequence
 
 from . import encoding
-from .encoding import EncodedGraph, Graph, WeightedVertex, has_edge
+from .encoding import EncodedGraph, Graph, WeightedVertex
 from .errors import IntegrityError
 
 __all__ = [
@@ -57,6 +60,9 @@ class SolverConfig:
     pivot_order: Literal["descending", "ascending"] = "descending"
     sanitize: bool = True
     collect_stats: bool = True
+    # Sanitized ids as a list in emission order rather than a frozenset:
+    # solve_graph decodes and checks the list itself.
+    as_list: bool = False
 
 
 @dataclass
@@ -142,7 +148,7 @@ def eliminate_case1_from_right(
         for member in pivot_bound:
             if w % member.value == 0:
                 w //= member.value
-        out.append(WeightedVertex(t.value, w))
+        out.append(t if w == t.weight else WeightedVertex(t.value, w))
     return out
 
 
@@ -151,22 +157,24 @@ def find_cliques(
 ) -> tuple[frozenset[int] | list[int], SolverStats]:
     """Enumerate clique ids for an encoded tuple list.
 
-    Returns the sanitized id set, or the raw id list in emission order
-    when ``config.sanitize`` is off. Stats are all zero when
-    ``config.collect_stats`` is off.
+    Returns the maximal-clique ids as a frozenset, straight from the
+    recursion (a list when ``config.as_list`` is set), or the paper's
+    literal id list in emission order when ``config.sanitize`` is off.
+    Both runs make the same calls, so their stats are equal. Stats are all
+    zero when ``config.collect_stats`` is off.
     """
     if config is None:
         config = SolverConfig()
     stats = SolverStats() if config.collect_stats else None
-    raw = _enumerate(list(q), config.pivot_order, stats)
+    ids = _enumerate(list(q), config.pivot_order, stats, config.sanitize)
     if stats is None:
         stats = SolverStats()
-    if config.sanitize:
-        return drop_contained_ids(raw), stats
-    return raw, stats
+    if config.sanitize and not config.as_list:
+        return frozenset(ids), stats
+    return ids, stats
 
 
-def _enumerate(q: TupleList, order: str, stats: SolverStats | None) -> list[int]:
+def _enumerate(q: TupleList, order: str, stats: SolverStats | None, maximal: bool) -> list[int]:
     if stats is not None:
         stats.recursive_calls += 1
         for t in q:
@@ -183,9 +191,14 @@ def _enumerate(q: TupleList, order: str, stats: SolverStats | None) -> list[int]
     if stats is not None:
         stats.pivot_splits += 1
     left, right, pivot_bound = partition_by_pivot(q[1:], pivot, stats)
-    right = eliminate_case1_from_right(right, pivot_bound)
-    left_ids = _enumerate(left, order, stats)
-    right_ids = _enumerate(right, order, stats)
+    if pivot_bound:
+        right = eliminate_case1_from_right(right, pivot_bound)
+    left_ids = _enumerate(left, order, stats, maximal)
+    right_ids = _enumerate(right, order, stats, maximal)
+    if maximal:
+        # A pivot-free clique inside the pivot's closed neighborhood is
+        # extended by the pivot; every other one is maximal here too.
+        right_ids = [i for i in right_ids if pivot.weight % i]
     if left:
         cliques = [i * pivot.value for i in left_ids]
     else:
@@ -217,19 +230,32 @@ def sanitize(raw: Iterable[int], eg: EncodedGraph) -> frozenset[int]:
 
     Every id must decode over the encoding's assignment to a set of
     pairwise adjacent vertices; otherwise IntegrityError. Duplicates and
-    ids contained in another id are dropped.
+    ids contained in another id are dropped. Meant for literal lists:
+    sanitized enumeration already emits only maximal ids.
     """
     raw = list(raw)
     for clique_id in raw:
-        members = sorted(encoding.decode_clique(clique_id, eg.assignment))
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                if not has_edge(eg, members[a], members[b]):
-                    raise IntegrityError(
-                        f"id {clique_id} decodes to a non-clique: "
-                        f"vertices {members[a]} and {members[b]} are not adjacent"
-                    )
+        _decode_clique_checked(clique_id, eg)
     return drop_contained_ids(raw)
+
+
+def _decode_clique_checked(clique_id: int, eg: EncodedGraph) -> set[int]:
+    """Decode an id, raising IntegrityError unless its vertices form a clique.
+
+    The vertices are pairwise adjacent exactly when the id divides the
+    weight of each of them.
+    """
+    members = encoding.decode_clique(clique_id, eg.assignment)
+    tuples = eg.tuples
+    if any(tuples[v - 1].weight % clique_id for v in members):
+        # Name the first non-adjacent pair (a, b), a < b.
+        a = min(v for v in members if tuples[v - 1].weight % clique_id)
+        b = min(v for v in members if tuples[a - 1].weight % tuples[v - 1].value)
+        raise IntegrityError(
+            f"id {clique_id} decodes to a non-clique: "
+            f"vertices {a} and {b} are not adjacent"
+        )
+    return members
 
 
 def solve_graph(
@@ -239,10 +265,11 @@ def solve_graph(
 ) -> tuple[list[frozenset[int]], SolverStats]:
     """Encode a graph, enumerate, and decode ids back to vertex sets.
 
-    Sanitized mode returns each maximal clique once, in sorted order; raw
-    mode returns decoded ids in emission order, duplicates and non-maximal
-    entries included. Bumps the recursion limit for large inputs (depth is
-    bounded by the vertex count).
+    Sanitized mode returns each maximal clique once, in id order, as the
+    recursion emits it; raw mode returns the literal ids in emission order,
+    non-maximal entries included. Each id is decoded once and checked to be
+    a clique (IntegrityError otherwise). Bumps the recursion limit for
+    large inputs (depth is bounded by the vertex count).
     """
     if config is None:
         config = SolverConfig()
@@ -250,11 +277,8 @@ def solve_graph(
     if needed > sys.getrecursionlimit():
         sys.setrecursionlimit(needed)
     eg = encoding.encode(g, assignment)
-    raw, stats = find_cliques(eg.tuples, replace(config, sanitize=False))
-    ids: Iterable[int]
+    ids, stats = find_cliques(eg.tuples, replace(config, as_list=True))
     if config.sanitize:
-        ids = sorted(sanitize(raw, eg))
-    else:
-        ids = raw
-    cliques = [frozenset(encoding.decode_clique(i, eg.assignment)) for i in ids]
+        ids = sorted(ids)
+    cliques = [frozenset(_decode_clique_checked(i, eg)) for i in ids]
     return cliques, stats

@@ -24,6 +24,10 @@ def test_graph_rejects_bad_edges():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError, match="out of range"):
         Graph.from_edges(3, [(1, 4)])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph.from_edges(3, [(4, 0)])
+    with pytest.raises(ValueError, match="bad edge"):
+        Graph(3, frozenset({(2, 1)}))
 
 
 def test_graph_collapses_duplicate_edges():

@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _strategies import graphs
+from primeclique import solver
 from primeclique.encoding import Graph, WeightedVertex, decode_clique, encode
 from primeclique.errors import IntegrityError
-from primeclique.graph_io import gen_complete, gen_gnp, gen_path
+from primeclique.graph_io import gen_complete, gen_cycle, gen_gnp, gen_moon_moser, gen_path
 from primeclique.oracle import bron_kerbosch, diff, is_clique, is_maximal
 from primeclique.solver import (
     SolverConfig,
@@ -284,3 +286,58 @@ def test_raw_output_has_no_duplicate_ids():
         g = gen_gnp(1 + (i % 12), [0.3, 0.6, 0.9][i % 3], seed=800 + i)
         raw, _ = find_cliques(encode(g).tuples, SolverConfig(sanitize=False))
         assert len(raw) == len(set(raw))
+
+
+@given(graphs(max_n=12), st.sampled_from(["descending", "ascending"]))
+@settings(max_examples=200, deadline=None)
+def test_exact_emission_equals_sanitized_literal_output(g, order):
+    eg = encode(g)
+    exact, exact_stats = find_cliques(eg.tuples, SolverConfig(pivot_order=order))
+    listed, _ = find_cliques(eg.tuples, SolverConfig(pivot_order=order, as_list=True))
+    literal, literal_stats = find_cliques(eg.tuples, SolverConfig(pivot_order=order, sanitize=False))
+    assert isinstance(exact, frozenset)
+    assert exact == sanitize(literal, eg)
+    assert sorted(listed) == sorted(exact)  # the list holds no duplicates
+    assert not any(b % a == 0 for a in exact for b in exact if a != b)
+    # the per-level filter drops ids, never calls
+    assert exact_stats == literal_stats
+
+
+SWEEP = (
+    [("gnp", n, p) for n in (20, 40, 80) for p in (0.1, 0.3, 0.5)]
+    + [("gnp", n, 0.7) for n in (20, 40)]
+    + [("moon-moser", k, None) for k in range(1, 7)]
+    + [("path", 500, None), ("cycle", 500, None)]
+)
+
+
+@pytest.mark.parametrize("family, n, p", SWEEP)
+def test_sweep_matches_bron_kerbosch(family, n, p):
+    if family == "gnp":
+        g = gen_gnp(n, p, seed=1000 + n)
+    else:
+        g = {"moon-moser": gen_moon_moser, "path": gen_path, "cycle": gen_cycle}[family](n)
+    expected = bron_kerbosch(g)
+    for order in ("descending", "ascending"):
+        cliques, _ = solve_graph(g, SolverConfig(pivot_order=order))
+        assert len(cliques) == len(expected)
+        assert set(cliques) == set(expected)
+
+
+@pytest.mark.parametrize(
+    "bad_id, message",
+    [
+        (35, "id 35 decodes to a non-clique: vertices 3 and 4 are not adjacent"),
+        (210, "vertices 1 and 4 are not adjacent"),  # {1,2,3,4}: the first bad pair
+        (4, "malformed clique id 4"),  # 2 * 2, not squarefree
+    ],
+)
+@pytest.mark.parametrize("sanitized", [True, False])
+def test_solve_graph_rejects_injected_ids(paw, monkeypatch, bad_id, message, sanitized):
+    def injected(q, config=None):
+        ids, stats = find_cliques(q, config)
+        return ids + [bad_id], stats
+
+    monkeypatch.setattr(solver, "find_cliques", injected)
+    with pytest.raises(IntegrityError, match=message):
+        solve_graph(paw, SolverConfig(sanitize=sanitized))
