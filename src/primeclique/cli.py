@@ -119,11 +119,11 @@ def _read_graph(path: str, fmt: str) -> Graph:
     return graph_io.parse_edge_list(text)
 
 
-def _run(g: Graph, raw: bool):
+def _run(g: Graph, raw: bool, assignment: PrimeAssignment | None = None):
     """Solve a graph, returning (clique vertex sets, stats, wall-clock ms)."""
     config = solver.SolverConfig(sanitize=not raw)
     start = time.perf_counter()
-    cliques, stats = solver.solve_graph(g, config)
+    cliques, stats = solver.solve_graph(g, config, assignment)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return set(cliques), stats, wall_ms
 
@@ -156,8 +156,9 @@ def _record(
 
 def _cmd_solve(args) -> int:
     g = _read_graph(args.input, args.format)
-    cliques, stats, wall_ms = _run(g, args.raw)
+    # Built only for --ids, and then shared with the encoder.
     assignment = PrimeAssignment.default(g.n) if args.ids else None
+    cliques, stats, wall_ms = _run(g, args.raw, assignment)
     sys.stdout.write(graph_io.write_cliques(cliques, with_ids=args.ids, assignment=assignment))
     if args.stats:
         record = _record(stats, wall_ms, len(cliques), family="file", n=g.n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .errors import IntegrityError
-from .primes import divides, factor_over_basis, first_n_primes, gcd, is_prime
+from .primes import factor_over_basis, first_n_primes, is_prime
 
 __all__ = [
     "Graph",
@@ -23,7 +23,6 @@ __all__ = [
     "EncodedGraph",
     "encode",
     "has_edge",
-    "common_closed_neighborhood",
     "decode_clique",
     "decode_graph",
 ]
@@ -141,13 +140,7 @@ def has_edge(eg: EncodedGraph, i: int, j: int) -> bool:
     """
     if i == j:
         return False
-    return divides(eg.tuples[i - 1].value, eg.tuples[j - 1].weight)
-
-
-def common_closed_neighborhood(eg: EncodedGraph, i: int, j: int) -> set[int]:
-    """N[i] & N[j], decoded from gcd of the two weights."""
-    g = gcd(eg.tuples[i - 1].weight, eg.tuples[j - 1].weight)
-    return decode_clique(g, eg.assignment)
+    return eg.tuples[j - 1].weight % eg.tuples[i - 1].value == 0
 
 
 def decode_clique(clique_id: int, assignment: PrimeAssignment) -> set[int]:
@@ -172,7 +165,7 @@ def decode_graph(eg: EncodedGraph) -> Graph:
     n = len(eg.tuples)
     edges = set()
     for i in range(1, n + 1):
-        if not divides(eg.tuples[i - 1].value, eg.tuples[i - 1].weight):
+        if eg.tuples[i - 1].weight % eg.tuples[i - 1].value:
             raise IntegrityError(f"vertex {i}: value does not divide its own weight")
         for j in range(i + 1, n + 1):
             ij = has_edge(eg, i, j)

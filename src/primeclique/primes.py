@@ -1,12 +1,15 @@
-"""Exact arithmetic over squarefree products of primes.
+"""Prime generation and factoring over a basis.
 
 A squarefree natural number stands in for a finite set of primes: 1 is the
 empty set, multiplying coprime values is disjoint union, gcd is
-intersection, lcm is union, and divisibility is the subset test. All
-operations use Python's arbitrary-precision integers, so results are exact
-at any bit width. The practical ceiling is around 10**4 vertices, where
-weights grow to a few hundred thousand bits; storage, not overflow, is the
-limit.
+intersection, and divisibility is the subset test. The encoding and the
+solver apply ``*``, ``//``, ``%`` and ``math.gcd`` to them directly; Python's
+arbitrary-precision integers keep that exact at any bit width. Storage is
+not what limits scale: a weight holds one prime per closed neighbor, so a
+10**4-vertex path has 51-bit weights. Time is: on sparse graphs each level
+of the enumeration re-sorts, merges and partitions the whole pivot-free
+remainder, so the work grows quadratically (a 10**4-vertex path takes about
+24 s in CPython 3.11 on a shared Intel Xeon core).
 """
 
 import math
@@ -15,11 +18,6 @@ from itertools import count
 __all__ = [
     "first_n_primes",
     "is_prime",
-    "multiply",
-    "divides",
-    "gcd",
-    "exact_divide",
-    "union_product",
     "factor_over_basis",
 ]
 
@@ -69,46 +67,6 @@ def is_prime(n: int) -> bool:
         if n % d == 0:
             return False
     raise AssertionError("unreachable")
-
-
-def multiply(factors: list[int]) -> int:
-    """Product of pairwise coprime squarefree values; the empty product is 1.
-
-    Raises ValueError if two factors share a prime divisor, since the
-    result would not be squarefree.
-    """
-    acc = 1
-    for f in factors:
-        if f < 1:
-            raise ValueError(f"factor must be >= 1, got {f}")
-        shared = math.gcd(acc, f)
-        if shared != 1:
-            raise ValueError(f"factors are not coprime: share divisor {shared}")
-        acc *= f
-    return acc
-
-
-def divides(d: int, x: int) -> bool:
-    """True iff d divides x exactly (set containment on squarefree values)."""
-    return x % d == 0
-
-
-def gcd(x: int, y: int) -> int:
-    """Greatest common divisor: the product of primes common to both."""
-    return math.gcd(x, y)
-
-
-def exact_divide(x: int, d: int) -> int:
-    """Return x / d, requiring the division to be exact."""
-    q, r = divmod(x, d)
-    if r != 0:
-        raise ValueError(f"{d} does not divide {x}")
-    return q
-
-
-def union_product(x: int, y: int) -> int:
-    """Least common multiple: the product of primes in either operand."""
-    return math.lcm(x, y)
 
 
 def factor_over_basis(x: int, basis: list[int]) -> set[int]:

@@ -1,37 +1,43 @@
-"""Recursive maximal-clique enumeration over the arithmetic encoding.
+"""Maximal-clique enumeration over the arithmetic encoding, on an explicit stack.
 
-Each call sorts the tuple list by weight, merges vertices with equal
-weights (equal weight means equal closed neighborhood, so such vertices
-belong to exactly the same cliques and coalesce into one tuple whose value
-is the product of theirs), and terminates when one tuple is left, emitting
-its value as a clique id. Otherwise the first tuple becomes the pivot and
-the rest split three ways:
+Each step sorts a tuple list by weight, merges vertices with equal weights
+(equal weight means equal closed neighborhood, so such vertices belong to
+exactly the same cliques and coalesce into one tuple whose value is the
+product of theirs), and stops when one tuple is left, emitting its value as
+a clique id. Otherwise the first tuple becomes the pivot and the rest split
+three ways:
 
-* not adjacent to the pivot: kept for the pivot-free branch unchanged;
+* not adjacent to the pivot: kept for the pivot-free side unchanged;
 * adjacent, with closed neighborhood contained in the pivot's ("case 1"):
   the pivot's prime is divided out and the vertex moves entirely into the
   pivot's induced subgraph, since every clique through it contains the pivot;
 * adjacent, with neighbors outside the pivot's ("case 2"): the vertex is
-  copied to both branches, the induced-subgraph copy with its weight
+  copied to both sides, the induced-subgraph copy with its weight
   restricted by gcd to the pivot's neighborhood.
 
-Case-1 primes are then divided out of the pivot-free branch's weights,
-since no maximal clique avoiding the pivot can use a case-1 vertex. Both
-branches recurse; ids from the induced subgraph are multiplied by the
-pivot's value. A pivot whose induced subgraph is empty is emitted as a
-singleton clique, which the plain recursion would otherwise drop.
+Case-1 primes are then divided out of the pivot-free side's weights, since
+no maximal clique avoiding the pivot can use a case-1 vertex. Where the
+paper recurses on both sides, each side here becomes a stack entry
+``(tuples, prefix, covers)``. ``prefix`` is the product of the pivot values
+whose induced subgraph the entry lies in; an id found in the entry is
+emitted times its prefix. ``covers`` is a linked tuple ``(cover, parent)``
+holding ``pivot.weight * prefix`` for each pivot whose pivot-free side the
+entry lies in. The pivot-free side is pushed first, so the pivot side is
+finished before it and ids come out in the order of the paper's recursion.
+A pivot whose induced subgraph is empty is emitted as a singleton clique,
+which the empty pivot side would otherwise drop. The nesting lives on the
+stack, not in interpreter frames, so no recursion limit applies.
 
 The paper's literal (raw) output is a list of clique ids in emission
 order. It covers every maximal clique but may include non-maximal ones:
 pivot-free ids inside the pivot's closed neighborhood. Sanitized
-enumeration drops each pivot-free id that divides the pivot's weight, so
-it emits every maximal clique exactly once; ``sanitize`` stays the
-integrity check and prune for literal lists.
+enumeration drops each id that divides one of its covers, which is exactly
+such a clique, so it emits every maximal clique exactly once; ``sanitize``
+stays the integrity check and prune for literal lists.
 """
 
 import math
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 from . import encoding
@@ -59,15 +65,15 @@ TupleList = list[WeightedVertex]
 class SolverConfig:
     pivot_order: Literal["descending", "ascending"] = "descending"
     sanitize: bool = True
-    collect_stats: bool = True
-    # Sanitized ids as a list in emission order rather than a frozenset:
-    # solve_graph decodes and checks the list itself.
-    as_list: bool = False
 
 
 @dataclass
 class SolverStats:
-    """Counters probing the recursion's shape and the encoding's growth."""
+    """Counters probing the enumeration's shape and the encoding's growth.
+
+    ``recursive_calls`` counts stack entries, one per call of the paper's
+    recursion.
+    """
 
     recursive_calls: int = 0
     merges: int = 0
@@ -157,56 +163,61 @@ def find_cliques(
 ) -> tuple[frozenset[int] | list[int], SolverStats]:
     """Enumerate clique ids for an encoded tuple list.
 
-    Returns the maximal-clique ids as a frozenset, straight from the
-    recursion (a list when ``config.as_list`` is set), or the paper's
-    literal id list in emission order when ``config.sanitize`` is off.
-    Both runs make the same calls, so their stats are equal. Stats are all
-    zero when ``config.collect_stats`` is off.
+    Returns the maximal-clique ids as a frozenset when ``config.sanitize``
+    is on, or the paper's literal id list in emission order when it is off.
+    Both runs make the same steps, so their stats are equal.
     """
     if config is None:
         config = SolverConfig()
-    stats = SolverStats() if config.collect_stats else None
-    ids = _enumerate(list(q), config.pivot_order, stats, config.sanitize)
-    if stats is None:
-        stats = SolverStats()
-    if config.sanitize and not config.as_list:
-        return frozenset(ids), stats
-    return ids, stats
+    # Every weight the enumeration forms divides an input weight (partition
+    # divides or takes a gcd, elimination divides), so the input is widest.
+    stats = SolverStats(max_weight_bits=max((t.weight.bit_length() for t in q), default=0))
+    ids = _enumerate(q, config.pivot_order, stats, config.sanitize)
+    return (frozenset(ids) if config.sanitize else ids), stats
 
 
-def _enumerate(q: TupleList, order: str, stats: SolverStats | None, maximal: bool) -> list[int]:
-    if stats is not None:
+def _enumerate(q: Sequence[WeightedVertex], order: str, stats: SolverStats, maximal: bool) -> list[int]:
+    emitted: list[int] = []
+    stack = [(q, 1, None)]
+    while stack:
+        q, prefix, covers = stack.pop()
         stats.recursive_calls += 1
-        for t in q:
-            bits = t.weight.bit_length()
-            if bits > stats.max_weight_bits:
-                stats.max_weight_bits = bits
-    q = sort_by_weight(q, order)
-    if not q:
-        return []
-    q = merge_equal_weights(q, stats)
-    if len(q) == 1:
-        return [q[0].value]
-    pivot = q[0]
-    if stats is not None:
-        stats.pivot_splits += 1
-    left, right, pivot_bound = partition_by_pivot(q[1:], pivot, stats)
-    if pivot_bound:
-        right = eliminate_case1_from_right(right, pivot_bound)
-    left_ids = _enumerate(left, order, stats, maximal)
-    right_ids = _enumerate(right, order, stats, maximal)
-    if maximal:
-        # A pivot-free clique inside the pivot's closed neighborhood is
-        # extended by the pivot; every other one is maximal here too.
-        right_ids = [i for i in right_ids if pivot.weight % i]
-    if left:
-        cliques = [i * pivot.value for i in left_ids]
-    else:
-        # An isolated pivot forms its own maximal clique; the recursion on
-        # an empty left list would silently lose it.
-        cliques = [pivot.value]
-    cliques.extend(right_ids)
-    return cliques
+        q = sort_by_weight(q, order)
+        if not q:
+            continue
+        q = merge_equal_weights(q, stats)
+        pivot = q[0]
+        if len(q) > 1:
+            stats.pivot_splits += 1
+            left, right, pivot_bound = partition_by_pivot(q[1:], pivot, stats)
+            if pivot_bound:
+                right = eliminate_case1_from_right(right, pivot_bound)
+            # Pushed first, so popped after the whole pivot side.
+            stack.append((right, prefix, (pivot.weight * prefix, covers) if maximal else None))
+            stack.append((left, prefix * pivot.value, covers))
+            if left:
+                continue
+            # An isolated pivot forms its own maximal clique; the empty
+            # pivot side would silently lose it.
+        clique_id = prefix * pivot.value
+        if not _divides_a_cover(clique_id, covers):
+            emitted.append(clique_id)
+    return emitted
+
+
+def _divides_a_cover(clique_id: int, covers: tuple | None) -> bool:
+    """True iff the id divides some cover, nearest first.
+
+    A cover is ``pivot.weight * prefix`` for an ancestor whose pivot-free
+    side the id lies in; the prefix cancels, so this is the pivot's test
+    ``pivot.weight % local_id == 0``: a clique inside N[pivot] that the
+    pivot would extend.
+    """
+    while covers is not None:
+        cover, covers = covers
+        if cover % clique_id == 0:
+            return True
+    return False
 
 
 def drop_contained_ids(ids: Iterable[int]) -> frozenset[int]:
@@ -266,18 +277,14 @@ def solve_graph(
     """Encode a graph, enumerate, and decode ids back to vertex sets.
 
     Sanitized mode returns each maximal clique once, in id order, as the
-    recursion emits it; raw mode returns the literal ids in emission order,
-    non-maximal entries included. Each id is decoded once and checked to be
-    a clique (IntegrityError otherwise). Bumps the recursion limit for
-    large inputs (depth is bounded by the vertex count).
+    enumeration emits it; raw mode returns the literal ids in emission
+    order, non-maximal entries included. Each id is decoded once and checked
+    to be a clique (IntegrityError otherwise).
     """
     if config is None:
         config = SolverConfig()
-    needed = g.n + 200
-    if needed > sys.getrecursionlimit():
-        sys.setrecursionlimit(needed)
     eg = encoding.encode(g, assignment)
-    ids, stats = find_cliques(eg.tuples, replace(config, as_list=True))
+    ids, stats = find_cliques(eg.tuples, config)
     if config.sanitize:
         ids = sorted(ids)
     cliques = [frozenset(_decode_clique_checked(i, eg)) for i in ids]

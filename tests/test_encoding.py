@@ -9,7 +9,6 @@ from primeclique.encoding import (
     Graph,
     PrimeAssignment,
     WeightedVertex,
-    common_closed_neighborhood,
     decode_clique,
     decode_graph,
     encode,
@@ -75,17 +74,6 @@ def test_has_edge_p3(p3):
     assert not has_edge(eg, 2, 2)
 
 
-def test_common_closed_neighborhood_p3(p3):
-    eg = encode(p3)
-    assert common_closed_neighborhood(eg, 1, 3) == {2}
-    assert common_closed_neighborhood(eg, 1, 2) == {1, 2}
-
-
-def test_common_closed_neighborhood_k3(k3):
-    eg = encode(k3)
-    assert common_closed_neighborhood(eg, 1, 2) == {1, 2, 3}
-
-
 def test_decode_clique():
     assert decode_clique(30, PrimeAssignment((2, 3, 5))) == {1, 2, 3}
     assert decode_clique(1, PrimeAssignment((2, 3, 5))) == set()
@@ -143,7 +131,8 @@ def test_gcd_of_weights_is_common_closed_neighborhood(g):
     for i in g.vertices():
         for j in g.vertices():
             expected = (adj[i] | {i}) & (adj[j] | {j})
-            assert common_closed_neighborhood(eg, i, j) == expected
+            shared = math.gcd(eg.tuples[i - 1].weight, eg.tuples[j - 1].weight)
+            assert decode_clique(shared, eg.assignment) == expected
 
 
 @given(graphs(max_n=12))

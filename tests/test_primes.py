@@ -4,16 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from primeclique.primes import (
-    divides,
-    exact_divide,
-    factor_over_basis,
-    first_n_primes,
-    gcd,
-    is_prime,
-    multiply,
-    union_product,
-)
+from primeclique.primes import factor_over_basis, first_n_primes, is_prime
 
 
 def trial_division(n: int) -> bool:
@@ -50,47 +41,6 @@ def test_is_prime_matches_trial_division():
         assert is_prime(n) == trial_division(n)
 
 
-def test_multiply_examples():
-    assert multiply([2, 3, 5]) == 30
-    assert multiply([]) == 1
-    assert multiply([6, 35]) == 210
-
-
-def test_multiply_rejects_shared_prime():
-    with pytest.raises(ValueError, match="coprime"):
-        multiply([6, 10])
-
-
-def test_divides_examples():
-    assert divides(2, 30)
-    assert not divides(7, 30)
-    assert divides(15, 30)
-
-
-def test_gcd_examples():
-    assert gcd(6, 15) == 3
-    assert gcd(30, 30) == 30
-    # 330 = 2*3*5*11, 70 = 2*5*7, common primes 2 and 5
-    assert gcd(330, 70) == 10
-
-
-def test_exact_divide_examples():
-    assert exact_divide(30, 2) == 15
-    assert exact_divide(30, 30) == 1
-    assert exact_divide(210, 3) == 70
-
-
-def test_exact_divide_rejects_inexact():
-    with pytest.raises(ValueError, match="does not divide"):
-        exact_divide(30, 7)
-
-
-def test_union_product_examples():
-    assert union_product(6, 15) == 30
-    assert union_product(2, 2) == 2
-    assert union_product(10, 21) == 210
-
-
 def test_factor_over_basis_examples():
     assert factor_over_basis(30, [2, 3, 5, 7]) == {0, 1, 2}
     assert factor_over_basis(1, [2, 3, 5]) == set()
@@ -108,27 +58,6 @@ index_sets = st.sets(st.integers(min_value=0, max_value=19))
 
 def product_of(indices: set[int]) -> int:
     return math.prod(BASIS[i] for i in indices)
-
-
-@given(index_sets, index_sets)
-def test_gcd_is_set_intersection(a, b):
-    assert gcd(product_of(a), product_of(b)) == product_of(a & b)
-
-
-@given(index_sets, index_sets)
-def test_union_product_is_set_union(a, b):
-    assert union_product(product_of(a), product_of(b)) == product_of(a | b)
-
-
-@given(index_sets, index_sets)
-def test_divides_is_subset(a, b):
-    assert divides(product_of(a), product_of(b)) == (a <= b)
-
-
-@given(index_sets, index_sets)
-def test_multiply_exact_divide_roundtrip(a, b):
-    x, y = product_of(a), product_of(b - a)
-    assert exact_divide(multiply([x, y]), x) == y
 
 
 @given(index_sets)

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _strategies import graphs
+import primeclique
 from primeclique import solver
 from primeclique.encoding import Graph, WeightedVertex, decode_clique, encode
 from primeclique.errors import IntegrityError
@@ -201,16 +207,6 @@ def test_find_cliques_sanitize_matches_full_sanitize(g5):
     assert pruned == sanitize(raw, eg)
 
 
-def test_collect_stats_off_returns_zeroed_stats(g5):
-    ids_on, stats_on = find_cliques(encode(g5).tuples)
-    ids_off, stats_off = find_cliques(
-        encode(g5).tuples, SolverConfig(collect_stats=False)
-    )
-    assert ids_on == ids_off
-    assert stats_off == SolverStats()
-    assert stats_on.recursive_calls > 0
-
-
 def test_solve_graph_decodes_in_id_order(g5):
     # ids 14 < 30 < 33 decode to {1,4}, {1,2,3}, {2,5}
     cliques, _ = solve_graph(g5)
@@ -225,7 +221,8 @@ def test_solve_graph_raw_keeps_emission_order():
 
 
 def test_solve_graph_deep_recursion():
-    # depth tracks the vertex count; 1200 exceeds CPython's default limit
+    # the paper's recursion nests once per vertex here, past CPython's
+    # default limit of 1000 frames; the stack loop does not use frames
     g = gen_path(1200)
     cliques, _ = solve_graph(g)
     assert len(cliques) == 1199
@@ -293,11 +290,12 @@ def test_raw_output_has_no_duplicate_ids():
 def test_exact_emission_equals_sanitized_literal_output(g, order):
     eg = encode(g)
     exact, exact_stats = find_cliques(eg.tuples, SolverConfig(pivot_order=order))
-    listed, _ = find_cliques(eg.tuples, SolverConfig(pivot_order=order, as_list=True))
     literal, literal_stats = find_cliques(eg.tuples, SolverConfig(pivot_order=order, sanitize=False))
     assert isinstance(exact, frozenset)
     assert exact == sanitize(literal, eg)
-    assert sorted(listed) == sorted(exact)  # the list holds no duplicates
+    # the sanitized emission is a subsequence of this list, so it holds no
+    # duplicates either
+    assert len(literal) == len(set(literal))
     assert not any(b % a == 0 for a in exact for b in exact if a != b)
     # the per-level filter drops ids, never calls
     assert exact_stats == literal_stats
@@ -336,8 +334,90 @@ def test_sweep_matches_bron_kerbosch(family, n, p):
 def test_solve_graph_rejects_injected_ids(paw, monkeypatch, bad_id, message, sanitized):
     def injected(q, config=None):
         ids, stats = find_cliques(q, config)
-        return ids + [bad_id], stats
+        return [*ids, bad_id], stats
 
     monkeypatch.setattr(solver, "find_cliques", injected)
     with pytest.raises(IntegrityError, match=message):
         solve_graph(paw, SolverConfig(sanitize=sanitized))
+
+
+def complete_with_pendants(k: int) -> Graph:
+    """K_k on vertices 1..k, with a pendant vertex k + u on each vertex u.
+
+    Its k + 1 maximal cliques nest the pivot side about k deep.
+    """
+    clique = [(u, v) for u in range(1, k + 1) for v in range(u + 1, k + 1)]
+    return Graph.from_edges(2 * k, clique + [(u, u + k) for u in range(1, k + 1)])
+
+
+RECURSION_LIMIT_SCRIPT = """
+import sys
+from primeclique.encoding import Graph
+from primeclique.graph_io import gen_path
+from primeclique.solver import solve_graph
+
+sys.setrecursionlimit(150)
+assert len(solve_graph(gen_path(1200))[0]) == 1199
+k = 200
+clique = [(u, v) for u in range(1, k + 1) for v in range(u + 1, k + 1)]
+g = Graph.from_edges(2 * k, clique + [(u, u + k) for u in range(1, k + 1)])
+assert len(solve_graph(g)[0]) == k + 1
+print(sys.getrecursionlimit())
+"""
+
+
+def test_solve_runs_under_a_small_recursion_limit_and_keeps_it():
+    # a path nests the pivot-free side n deep, K_200 plus pendants the pivot
+    # side 200 deep; neither may need frames or change the global limit
+    src = str(Path(primeclique.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", RECURSION_LIMIT_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["150"]
+
+
+GOLDEN_GRAPHS = {
+    "raw_extras": raw_extras_graph,
+    "g5": lambda: Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 5)]),
+    "path8": lambda: gen_path(8),
+    "moon_moser2": lambda: gen_moon_moser(2),
+    "k4_pendants": lambda: complete_with_pendants(4),
+    "gnp12": lambda: gen_gnp(12, 0.5, seed=3),
+}
+
+# Literal id lists in emission order and SolverStats fields in declaration
+# order (recursive_calls, merges, pivot_splits, case1_count, case2_count,
+# gcd_calls, max_weight_bits), as the recursive solver produced them.
+LITERAL_GOLDEN = [
+    ("raw_extras", "descending", [34, 30, 26, 55, 15, 21], (11, 2, 5, 3, 3, 3, 13)),
+    ("raw_extras", "ascending", [21, 26, 30, 34, 10, 55], (11, 2, 5, 0, 6, 6, 13)),
+    ("g5", "descending", [33, 30, 14], (5, 2, 2, 2, 1, 1, 9)),
+    ("g5", "ascending", [14, 30, 33], (5, 2, 2, 0, 2, 2, 9)),
+    ("path8", "descending", [323, 221, 143, 77, 35, 15, 6], (13, 1, 6, 3, 3, 3, 13)),
+    ("path8", "ascending", [6, 15, 35, 77, 143, 221, 323], (13, 1, 6, 0, 6, 6, 13)),
+    ("moon_moser2", "descending", [65, 55, 35, 39, 33, 21, 26, 22, 14], (19, 0, 9, 3, 6, 6, 13)),
+    ("moon_moser2", "ascending", [14, 21, 35, 22, 26, 33, 55, 39, 65], (17, 1, 8, 0, 8, 8, 13)),
+    ("k4_pendants", "descending", [210, 133, 85, 30, 39, 6, 22], (13, 4, 6, 3, 6, 6, 12)),
+    ("k4_pendants", "ascending", [22, 39, 85, 133, 210], (9, 3, 4, 0, 4, 4, 12)),
+    ("gnp12", "descending", [144739, 3689, 19499, 9269, 14007, 1311, 3335, 1495, 7733, 6919, 1254, 286, 609, 119, 174], (33, 7, 16, 13, 19, 19, 31)),
+    ("gnp12", "ascending", [1495, 3335, 286, 9269, 174, 1254, 627, 6919, 7733, 703, 1311, 14007, 19499, 3689, 144739], (29, 12, 14, 0, 27, 27, 31)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, order, ids, stats", LITERAL_GOLDEN, ids=[f"{name}-{order}" for name, order, *_ in LITERAL_GOLDEN]
+)
+def test_literal_output_and_stats_are_pinned(name, order, ids, stats):
+    eg = encode(GOLDEN_GRAPHS[name]())
+    literal, literal_stats = find_cliques(eg.tuples, SolverConfig(pivot_order=order, sanitize=False))
+    assert literal == ids
+    assert literal_stats == SolverStats(*stats)
+    exact, exact_stats = find_cliques(eg.tuples, SolverConfig(pivot_order=order))
+    assert exact == sanitize(ids, eg)
+    assert exact_stats == literal_stats
