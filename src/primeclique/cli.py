@@ -16,20 +16,9 @@ from .errors import IntegrityError, ParseError
 
 FAMILIES = ("complete", "path", "cycle", "gnp", "moon-moser")
 
-CSV_FIELDS = [
-    "family",
-    "n",
-    "p",
-    "seed",
-    "wall_ms",
-    "recursive_calls",
-    "merges",
-    "pivot_splits",
-    "gcd_calls",
-    "max_weight_bits",
-    "clique_count",
-    "verified",
-]
+# SolverStats fields reported by ``solve --stats`` and the bench CSV, in order.
+STATS_COLUMNS = ("recursive_calls", "merges", "pivot_splits", "gcd_calls", "max_weight_bits")
+CSV_FIELDS = ["family", "n", "p", "seed", "wall_ms", *STATS_COLUMNS, "clique_count", "verified"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,20 +127,9 @@ def _record(
     seed: str = "",
     verified: str = "",
 ) -> dict[str, str]:
-    return {
-        "family": family,
-        "n": str(n),
-        "p": p,
-        "seed": seed,
-        "wall_ms": f"{wall_ms:.3f}",
-        "recursive_calls": str(stats.recursive_calls),
-        "merges": str(stats.merges),
-        "pivot_splits": str(stats.pivot_splits),
-        "gcd_calls": str(stats.gcd_calls),
-        "max_weight_bits": str(stats.max_weight_bits),
-        "clique_count": str(clique_count),
-        "verified": verified,
-    }
+    labels = (family, str(n), p, seed, f"{wall_ms:.3f}")
+    counters = (str(getattr(stats, name)) for name in STATS_COLUMNS)
+    return dict(zip(CSV_FIELDS, (*labels, *counters, str(clique_count), verified), strict=True))
 
 
 def _cmd_solve(args) -> int:

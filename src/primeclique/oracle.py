@@ -15,29 +15,27 @@ __all__ = ["bron_kerbosch", "is_clique", "is_maximal", "diff", "DiffReport"]
 def bron_kerbosch(g: Graph) -> list[frozenset[int]]:
     """All maximal cliques of g, as frozensets in a canonical sorted order.
 
-    Classic recursion with pivoting: at each node a pivot u is chosen from
-    candidates + excluded with the most neighbors among the candidates,
-    and only candidates outside N(u) are branched on. Pivot choice and
-    branch order are tie-broken by vertex id, so output is deterministic.
+    Classic pivoting, on an explicit stack, not recursion: at each node a
+    pivot u is chosen from candidates + excluded with the most neighbors
+    among the candidates, and only candidates outside N(u) are branched
+    on. Pivot choice is tie-broken by vertex id, so output is deterministic.
     """
     adj = g.adjacency()
     found: list[frozenset[int]] = []
-
-    def expand(grown: set[int], candidates: set[int], excluded: set[int]) -> None:
+    stack = [(frozenset(), set(g.vertices()), set())] if g.n > 0 else []
+    while stack:
+        grown, candidates, excluded = stack.pop()
         if not candidates and not excluded:
-            found.append(frozenset(grown))
-            return
+            found.append(grown)
+            continue
         pivot = max(
             sorted(candidates | excluded),
             key=lambda u: len(candidates & adj[u]),
         )
         for v in sorted(candidates - adj[pivot]):
-            expand(grown | {v}, candidates & adj[v], excluded & adj[v])
+            stack.append((grown | {v}, candidates & adj[v], excluded & adj[v]))
             candidates.remove(v)
             excluded.add(v)
-
-    if g.n > 0:
-        expand(set(), set(g.vertices()), set())
     return sorted(found, key=sorted)
 
 

@@ -9,7 +9,7 @@ not what limits scale: a weight holds one prime per closed neighbor, so a
 10**4-vertex path has 51-bit weights. Time is: on sparse graphs each level
 of the enumeration re-sorts, merges and partitions the whole pivot-free
 remainder, so the work grows quadratically (a 10**4-vertex path takes about
-24 s in CPython 3.11 on a shared Intel Xeon core).
+16 s in CPython 3.11 on a shared Intel Xeon core).
 """
 
 import math

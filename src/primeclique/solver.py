@@ -15,9 +15,11 @@ three ways:
   copied to both sides, the induced-subgraph copy with its weight
   restricted by gcd to the pivot's neighborhood.
 
-Case-1 primes are then divided out of the pivot-free side's weights, since
-no maximal clique avoiding the pivot can use a case-1 vertex. Where the
-paper recurses on both sides, each side here becomes a stack entry
+Case-1 primes are then divided out of the pivot-free copies of case-2
+vertices, since no maximal clique avoiding the pivot can use a case-1
+vertex. No other tuple carries one, as a case-1 vertex's closed
+neighborhood lies inside the pivot's. Where the paper recurses on both
+sides, each side here becomes a stack entry
 ``(tuples, prefix, covers)``. ``prefix`` is the product of the pivot values
 whose induced subgraph the entry lies in; an id found in the entry is
 emitted times its prefix. ``covers`` is a linked tuple ``(cover, parent)``
@@ -72,7 +74,7 @@ class SolverStats:
     """Counters probing the enumeration's shape and the encoding's growth.
 
     ``recursive_calls`` counts stack entries, one per call of the paper's
-    recursion.
+    recursion. ``gcd_calls`` is one per case-2 split.
     """
 
     recursive_calls: int = 0
@@ -91,7 +93,7 @@ def sort_by_weight(q: Sequence[WeightedVertex], order: str = "descending") -> Tu
     return sorted(q, key=lambda t: t.weight, reverse=order == "descending")
 
 
-def merge_equal_weights(q: Sequence[WeightedVertex], stats: SolverStats | None = None) -> TupleList:
+def merge_equal_weights(q: Sequence[WeightedVertex]) -> TupleList:
     """Coalesce each run of equal weights into one tuple.
 
     The merged value is the product of the run's values; the weight is
@@ -101,27 +103,26 @@ def merge_equal_weights(q: Sequence[WeightedVertex], stats: SolverStats | None =
     for t in q:
         if merged and merged[-1].weight == t.weight:
             merged[-1] = WeightedVertex(merged[-1].value * t.value, t.weight)
-            if stats is not None:
-                stats.merges += 1
         else:
             merged.append(t)
     return merged
 
 
 def partition_by_pivot(
-    rest: Sequence[WeightedVertex],
-    pivot: WeightedVertex,
-    stats: SolverStats | None = None,
+    rest: Sequence[WeightedVertex], pivot: WeightedVertex
 ) -> tuple[TupleList, TupleList, TupleList]:
     """Split the tuples after the pivot into (left, right, pivot-bound).
 
     ``rest`` holds the sorted, merged list minus its first element, the
     pivot. Left is the pivot's induced subgraph, right the subgraph where
     the pivot is excluded, and the third list repeats the case-1 members
-    of left (vertices confined to the pivot's closed neighborhood).
+    of left (vertices confined to the pivot's closed neighborhood). Right
+    is the case-2 copies with the case-1 values divided out (only they can
+    carry one), then the pivot's non-neighbors unchanged.
     """
     left: TupleList = []
     right: TupleList = []
+    copies: TupleList = []
     pivot_bound: TupleList = []
     for t in rest:
         if t.weight % pivot.value != 0:
@@ -132,16 +133,12 @@ def partition_by_pivot(
             member = WeightedVertex(t.value, reduced)
             left.append(member)
             pivot_bound.append(member)
-            if stats is not None:
-                stats.case1_count += 1
         else:
-            comb = math.gcd(pivot.weight, reduced)
-            if stats is not None:
-                stats.gcd_calls += 1
-                stats.case2_count += 1
-            left.append(WeightedVertex(t.value, comb))
-            right.append(WeightedVertex(t.value, reduced))
-    return left, right, pivot_bound
+            left.append(WeightedVertex(t.value, math.gcd(pivot.weight, reduced)))
+            copies.append(WeightedVertex(t.value, reduced))
+    if pivot_bound:
+        copies = eliminate_case1_from_right(copies, pivot_bound)
+    return left, copies + right, pivot_bound
 
 
 def eliminate_case1_from_right(
@@ -185,13 +182,17 @@ def _enumerate(q: Sequence[WeightedVertex], order: str, stats: SolverStats, maxi
         q = sort_by_weight(q, order)
         if not q:
             continue
-        q = merge_equal_weights(q, stats)
+        n = len(q)
+        q = merge_equal_weights(q)
+        stats.merges += n - len(q)
         pivot = q[0]
         if len(q) > 1:
             stats.pivot_splits += 1
-            left, right, pivot_bound = partition_by_pivot(q[1:], pivot, stats)
-            if pivot_bound:
-                right = eliminate_case1_from_right(right, pivot_bound)
+            left, right, pivot_bound = partition_by_pivot(q[1:], pivot)
+            case2 = len(left) - len(pivot_bound)
+            stats.case1_count += len(pivot_bound)
+            stats.case2_count += case2
+            stats.gcd_calls += case2
             # Pushed first, so popped after the whole pivot side.
             stack.append((right, prefix, (pivot.weight * prefix, covers) if maximal else None))
             stack.append((left, prefix * pivot.value, covers))

@@ -1,8 +1,11 @@
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from conftest import FIXTURES
+import primeclique
 from primeclique import solver
 from primeclique.cli import main
 from primeclique.graph_io import parse_dimacs
@@ -218,3 +221,37 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 2\n2 3\n"
+
+
+VERIFY_RECURSION_LIMIT_SCRIPT = """
+import sys
+from primeclique.cli import main
+from primeclique.encoding import Graph
+from primeclique.graph_io import write_dimacs
+from primeclique.oracle import bron_kerbosch
+
+sys.setrecursionlimit(150)
+k = 200
+clique = [(u, v) for u in range(1, k + 1) for v in range(u + 1, k + 1)]
+g = Graph.from_edges(2 * k, clique + [(u, u + k) for u in range(1, k + 1)])
+assert len(bron_kerbosch(g)) == k + 1
+with open(sys.argv[1], "w") as fh:
+    fh.write(write_dimacs(g))
+sys.exit(main(["verify", "--input", sys.argv[1]]))
+"""
+
+
+def test_verify_runs_under_a_small_recursion_limit(tmp_path):
+    # K_200 with a pendant on each vertex: Bron-Kerbosch nests 200 deep, so
+    # the oracle must not need a frame per clique member
+    src = str(Path(primeclique.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", VERIFY_RECURSION_LIMIT_SCRIPT, str(tmp_path / "g.dimacs")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "matched=201 missing=0 extra=0\n"

@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _strategies import graphs
@@ -48,9 +48,10 @@ def test_sort_by_weight_rejects_unknown_order():
 
 
 def test_merge_equal_weights():
-    stats = SolverStats()
-    assert merge_equal_weights([WV(2, 30), WV(3, 30), WV(5, 30)], stats) == [WV(30, 30)]
-    assert stats.merges == 2
+    q = [WV(2, 30), WV(3, 30), WV(5, 30)]
+    merged = merge_equal_weights(q)
+    assert merged == [WV(30, 30)]
+    assert len(q) - len(merged) == 2  # the merge count _enumerate records
     assert merge_equal_weights([WV(2, 6), WV(3, 6), WV(5, 15)]) == [WV(6, 6), WV(5, 15)]
     assert merge_equal_weights([WV(2, 6), WV(5, 15)]) == [WV(2, 6), WV(5, 15)]
 
@@ -70,19 +71,27 @@ def test_partition_by_pivot_g5(g5):
     assert q[0] == WV(3, 330)
     left, right, bound = partition_by_pivot(q[1:], q[0])
     assert left == [WV(2, 10), WV(11, 11), WV(5, 10)]
-    assert right == [WV(2, 70), WV(7, 14)]
+    # the case-2 copy of vertex 1 (weight 2*5*7) loses the case-1 prime 5
+    assert right == [WV(2, 14), WV(7, 14)]
     assert bound == [WV(11, 11), WV(5, 10)]
 
 
-def test_partition_matches_neighborhood_arithmetic(g5):
-    # cross-check the split against plain set computations on the graph
-    eg = encode(g5)
+@given(graphs(max_n=12))
+@example(Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 5)]))  # g5
+@settings(max_examples=200, deadline=None)
+def test_partition_matches_neighborhood_arithmetic(g):
+    # cross-check the split against plain set computations on the graph:
+    # every right weight, non-neighbors of the pivot included, must be
+    # N[t] - {p} - (the case-1 vertices)
+    eg = encode(g)
     q = sort_by_weight(eg.tuples)
+    if not q:
+        return
     pivot, rest = q[0], q[1:]
     left, right, bound = partition_by_pivot(rest, pivot)
-    adj = g5.adjacency()
+    adj = g.adjacency()
     basis = list(eg.assignment.primes)
-    closed = {u: adj[u] | {u} for u in g5.vertices()}
+    closed = {u: adj[u] | {u} for u in g.vertices()}
     pivot_vertex = basis.index(pivot.value) + 1
 
     expected_left = {}
@@ -101,6 +110,8 @@ def test_partition_matches_neighborhood_arithmetic(g5):
             expected_right[t.value] = closed[u] - {pivot_vertex}
 
     assert {t.value for t in bound} == expected_bound
+    case1 = {basis.index(value) + 1 for value in expected_bound}
+    expected_right = {value: members - case1 for value, members in expected_right.items()}
     for got, expected in ((left, expected_left), (right, expected_right)):
         assert {t.value for t in got} == set(expected)
         for t in got:
