@@ -188,17 +188,17 @@ def _bench_row(family: str, opts: dict[str, str], lineno: int) -> dict[str, str]
     for key in opts:
         if key not in known:
             raise ParseError(f"unknown option {key!r}", lineno)
+    verify = opts.get("verify", "false") == "true"
     try:
         n = int(opts["k" if family == "moon-moser" and "k" in opts else "n"])
-        p = float(opts["p"]) if "p" in opts else None
+        p = float(opts["p"]) if "p" in opts or family == "gnp" else None
         seed = int(opts.get("seed", "0"))
+        # The generators' range errors name the spec line too.
+        g = _generate(family, n, p, seed)
     except KeyError as exc:
         raise ParseError(f"missing option {exc.args[0]!r}", lineno)
     except ValueError as exc:
         raise ParseError(str(exc), lineno)
-    verify = opts.get("verify", "false") == "true"
-
-    g = _generate(family, n, p, seed)
     cliques, stats, wall_ms = _run(g, raw=False)
     verified = ""
     if verify:

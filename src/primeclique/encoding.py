@@ -149,7 +149,7 @@ def decode_clique(clique_id: int, assignment: PrimeAssignment) -> set[int]:
     Raises IntegrityError for a malformed id (residue outside the basis).
     """
     try:
-        indices = factor_over_basis(clique_id, list(assignment.primes))
+        indices = factor_over_basis(clique_id, assignment.primes)
     except ValueError as exc:
         raise IntegrityError(f"malformed clique id {clique_id}: {exc}") from exc
     return {i + 1 for i in indices}

@@ -14,6 +14,7 @@ remainder, so the work grows quadratically (a 10**4-vertex path takes about
 
 import math
 from itertools import count
+from typing import Sequence
 
 __all__ = [
     "first_n_primes",
@@ -69,7 +70,7 @@ def is_prime(n: int) -> bool:
     raise AssertionError("unreachable")
 
 
-def factor_over_basis(x: int, basis: list[int]) -> set[int]:
+def factor_over_basis(x: int, basis: Sequence[int]) -> set[int]:
     """Factor squarefree x over an ordered prime basis.
 
     Returns the unique index set S with x == prod(basis[i] for i in S).

@@ -19,23 +19,28 @@ Case-1 primes are then divided out of the pivot-free copies of case-2
 vertices, since no maximal clique avoiding the pivot can use a case-1
 vertex. No other tuple carries one, as a case-1 vertex's closed
 neighborhood lies inside the pivot's. Where the paper recurses on both
-sides, each side here becomes a stack entry
-``(tuples, prefix, covers)``. ``prefix`` is the product of the pivot values
-whose induced subgraph the entry lies in; an id found in the entry is
-emitted times its prefix. ``covers`` is a linked tuple ``(cover, parent)``
-holding ``pivot.weight * prefix`` for each pivot whose pivot-free side the
-entry lies in. The pivot-free side is pushed first, so the pivot side is
-finished before it and ids come out in the order of the paper's recursion.
-A pivot whose induced subgraph is empty is emitted as a singleton clique,
-which the empty pivot side would otherwise drop. The nesting lives on the
-stack, not in interpreter frames, so no recursion limit applies.
+sides, each side here becomes a stack entry ``(tuples, prefix, common)``:
+``prefix`` is the product of the pivot values whose induced subgraph the
+entry lies in (an id found in the entry is emitted times it), and
+``common`` the gcd of those vertices' input weights, their common closed
+neighborhood (0, the gcd identity, at the root). The pivot-free side is
+pushed first, so the pivot side is finished before it and ids come out
+in the order of the paper's recursion. A pivot whose induced subgraph is
+empty is emitted as a singleton clique, which the empty pivot side would
+otherwise drop. The nesting lives on the stack, not in interpreter
+frames, so no recursion limit applies.
 
 The paper's literal (raw) output is a list of clique ids in emission
-order. It covers every maximal clique but may include non-maximal ones:
-pivot-free ids inside the pivot's closed neighborhood. Sanitized
-enumeration drops each id that divides one of its covers, which is exactly
-such a clique, so it emits every maximal clique exactly once; ``sanitize``
-stays the integrity check and prune for literal lists.
+order. It holds every maximal clique but may include non-maximal ones:
+pivot-free ids inside the pivot's closed neighborhood. A clique is
+maximal exactly when the gcd of its members' input weights equals its
+id. ``common_of`` maps each value to that gcd over its vertices: a vertex
+to its weight, a merged value (the union of its parts' vertices) to the
+gcd of its parts' entries. One gcd per step, of ``common`` with the
+pivot's entry, gives the common neighborhood of ``prefix * pivot.value``.
+Sanitized enumeration emits that id only when the two are equal, so it
+emits every maximal clique exactly once; ``sanitize`` stays the
+integrity check and prune for literal lists.
 """
 
 import math
@@ -93,16 +98,20 @@ def sort_by_weight(q: Sequence[WeightedVertex], order: str = "descending") -> Tu
     return sorted(q, key=lambda t: t.weight, reverse=order == "descending")
 
 
-def merge_equal_weights(q: Sequence[WeightedVertex]) -> TupleList:
+def merge_equal_weights(q: Sequence[WeightedVertex], common_of: dict[int, int]) -> TupleList:
     """Coalesce each run of equal weights into one tuple.
 
     The merged value is the product of the run's values; the weight is
     unchanged. Expects equal weights to be adjacent (a sorted input).
+    ``common_of`` maps each value to the gcd of its vertices' input
+    weights; every merged value gets the gcd of its parts' entries.
     """
     merged: TupleList = []
     for t in q:
         if merged and merged[-1].weight == t.weight:
-            merged[-1] = WeightedVertex(merged[-1].value * t.value, t.weight)
+            value = merged[-1].value * t.value
+            common_of[value] = math.gcd(common_of[merged[-1].value], common_of[t.value])
+            merged[-1] = WeightedVertex(value, t.weight)
         else:
             merged.append(t)
     return merged
@@ -175,17 +184,19 @@ def find_cliques(
 
 def _enumerate(q: Sequence[WeightedVertex], order: str, stats: SolverStats, maximal: bool) -> list[int]:
     emitted: list[int] = []
-    stack = [(q, 1, None)]
+    common_of = {t.value: t.weight for t in q}
+    stack = [(q, 1, 0)]
     while stack:
-        q, prefix, covers = stack.pop()
+        q, prefix, common = stack.pop()
         stats.recursive_calls += 1
         q = sort_by_weight(q, order)
         if not q:
             continue
         n = len(q)
-        q = merge_equal_weights(q)
+        q = merge_equal_weights(q, common_of)
         stats.merges += n - len(q)
         pivot = q[0]
+        inner = math.gcd(common, common_of[pivot.value])
         if len(q) > 1:
             stats.pivot_splits += 1
             left, right, pivot_bound = partition_by_pivot(q[1:], pivot)
@@ -194,31 +205,16 @@ def _enumerate(q: Sequence[WeightedVertex], order: str, stats: SolverStats, maxi
             stats.case2_count += case2
             stats.gcd_calls += case2
             # Pushed first, so popped after the whole pivot side.
-            stack.append((right, prefix, (pivot.weight * prefix, covers) if maximal else None))
-            stack.append((left, prefix * pivot.value, covers))
+            stack.append((right, prefix, common))
+            stack.append((left, prefix * pivot.value, inner))
             if left:
                 continue
             # An isolated pivot forms its own maximal clique; the empty
             # pivot side would silently lose it.
         clique_id = prefix * pivot.value
-        if not _divides_a_cover(clique_id, covers):
+        if not maximal or inner == clique_id:
             emitted.append(clique_id)
     return emitted
-
-
-def _divides_a_cover(clique_id: int, covers: tuple | None) -> bool:
-    """True iff the id divides some cover, nearest first.
-
-    A cover is ``pivot.weight * prefix`` for an ancestor whose pivot-free
-    side the id lies in; the prefix cancels, so this is the pivot's test
-    ``pivot.weight % local_id == 0``: a clique inside N[pivot] that the
-    pivot would extend.
-    """
-    while covers is not None:
-        cover, covers = covers
-        if cover % clique_id == 0:
-            return True
-    return False
 
 
 def drop_contained_ids(ids: Iterable[int]) -> frozenset[int]:

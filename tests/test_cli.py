@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import FIXTURES
 import primeclique
 from primeclique import solver
@@ -198,12 +200,23 @@ def test_bench_empty_matrix(tmp_path):
     )
 
 
-def test_bench_malformed_spec(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("complete bogus", "key=value"),
+        ("gnp n=10", "missing option 'p'"),
+        ("path n=0", "path requires n >= 1"),
+        ("gnp n=5 p=2", "edge probability must be in [0, 1]"),
+    ],
+)
+def test_bench_malformed_spec(tmp_path, capsys, line, message):
     spec = tmp_path / "spec.txt"
-    spec.write_text("complete bogus\n")
+    spec.write_text(line + "\n")
     code = main(["bench", "--spec", str(spec), "--out", str(tmp_path / "b.csv")])
     assert code == 2
-    assert "key=value" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "line 1" in err
 
 
 def test_bench_unwritable_out(tmp_path, capsys):

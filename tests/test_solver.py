@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -49,11 +50,23 @@ def test_sort_by_weight_rejects_unknown_order():
 
 def test_merge_equal_weights():
     q = [WV(2, 30), WV(3, 30), WV(5, 30)]
-    merged = merge_equal_weights(q)
+    common_of = {t.value: t.weight for t in q}
+    merged = merge_equal_weights(q, common_of)
     assert merged == [WV(30, 30)]
     assert len(q) - len(merged) == 2  # the merge count _enumerate records
-    assert merge_equal_weights([WV(2, 6), WV(3, 6), WV(5, 15)]) == [WV(6, 6), WV(5, 15)]
-    assert merge_equal_weights([WV(2, 6), WV(5, 15)]) == [WV(2, 6), WV(5, 15)]
+    # each merged value maps to the gcd of its parts' entries
+    assert common_of == {2: 30, 3: 30, 5: 30, 6: 30, 30: 30}
+    common_of = {2: 6, 3: 6, 5: 15}
+    assert merge_equal_weights([WV(2, 6), WV(3, 6), WV(5, 15)], common_of) == [WV(6, 6), WV(5, 15)]
+    assert common_of == {2: 6, 3: 6, 5: 15, 6: 6}
+    common_of = {2: 6, 5: 15}
+    assert merge_equal_weights([WV(2, 6), WV(5, 15)], common_of) == [WV(2, 6), WV(5, 15)]
+    assert common_of == {2: 6, 5: 15}
+    # parts whose input weights differ (a merge inside a subproblem): the
+    # entry is their common neighborhood, not the current weight
+    common_of = {2: 42, 3: 66}
+    assert merge_equal_weights([WV(2, 6), WV(3, 6)], common_of) == [WV(6, 6)]
+    assert common_of[6] == 6
 
 
 def test_partition_by_pivot_p3(p3):
@@ -242,7 +255,8 @@ def test_solve_graph_deep_recursion():
 @given(graphs(min_n=2, max_n=12))
 @settings(max_examples=150)
 def test_partition_shrinks_both_sides(g):
-    q = merge_equal_weights(sort_by_weight(encode(g).tuples))
+    tuples = encode(g).tuples
+    q = merge_equal_weights(sort_by_weight(tuples), {t.value: t.weight for t in tuples})
     if len(q) < 2:
         return
     left, right, _ = partition_by_pivot(q[1:], q[0])
@@ -254,7 +268,7 @@ def test_partition_shrinks_both_sides(g):
 @settings(max_examples=100)
 def test_pivot_multiplication_preserves_cliques(g):
     eg = encode(g)
-    q = merge_equal_weights(sort_by_weight(eg.tuples))
+    q = merge_equal_weights(sort_by_weight(eg.tuples), {t.value: t.weight for t in eg.tuples})
     if len(q) < 2:
         return
     pivot = q[0]
@@ -308,6 +322,9 @@ def test_exact_emission_equals_sanitized_literal_output(g, order):
     # duplicates either
     assert len(literal) == len(set(literal))
     assert not any(b % a == 0 for a in exact for b in exact if a != b)
+    # maximal exactly when the members' input weights have the id as gcd
+    weights = {c: [eg.tuples[v - 1].weight for v in decode_clique(c, eg.assignment)] for c in literal}
+    assert exact == {c for c in literal if math.gcd(*weights[c]) == c}
     # the per-level filter drops ids, never calls
     assert exact_stats == literal_stats
 
@@ -331,6 +348,23 @@ def test_sweep_matches_bron_kerbosch(family, n, p):
         cliques, _ = solve_graph(g, SolverConfig(pivot_order=order))
         assert len(cliques) == len(expected)
         assert set(cliques) == set(expected)
+
+
+# Larger graphs for the same check, about 40 s together in CPython 3.11
+# (gnp(80, .7) alone about 30 s): run with ``pytest -m slow``.
+SLOW_SWEEP = [
+    ("gnp", 80, 0.7),
+    ("moon-moser", 7, None),
+    ("gnp", 1000, 0.02),
+    ("path", 3000, None),
+    ("cycle", 3000, None),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family, n, p", SLOW_SWEEP)
+def test_slow_sweep_matches_bron_kerbosch(family, n, p):
+    test_sweep_matches_bron_kerbosch(family, n, p)
 
 
 @pytest.mark.parametrize(
