@@ -14,11 +14,19 @@ from . import graph_io, oracle, solver
 from .encoding import Graph, PrimeAssignment
 from .errors import IntegrityError, ParseError
 
-FAMILIES = ("complete", "path", "cycle", "gnp", "moon-moser")
+# Family -> (generator, bench options besides n and verify); k stands in for n.
+FAMILIES = {
+    "complete": (graph_io.gen_complete, ()),
+    "path": (graph_io.gen_path, ()),
+    "cycle": (graph_io.gen_cycle, ()),
+    "gnp": (graph_io.gen_gnp, ("p", "seed")),
+    "moon-moser": (graph_io.gen_moon_moser, ("k",)),
+}
 
 # SolverStats fields reported by ``solve --stats`` and the bench CSV, in order.
 STATS_COLUMNS = ("recursive_calls", "merges", "pivot_splits", "gcd_calls", "max_weight_bits")
-CSV_FIELDS = ["family", "n", "p", "seed", "wall_ms", *STATS_COLUMNS, "clique_count", "verified"]
+STATS_FIELDS = ("family", "n", "p", "seed", "wall_ms", *STATS_COLUMNS, "clique_count")
+CSV_FIELDS = [*STATS_FIELDS, "verified"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,13 +70,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -77,20 +82,13 @@ def entry() -> None:
     sys.exit(main())
 
 
-def _generate(family: str, n: int, p: float | None, seed: int) -> Graph:
-    if family == "complete":
-        return graph_io.gen_complete(n)
-    if family == "path":
-        return graph_io.gen_path(n)
-    if family == "cycle":
-        return graph_io.gen_cycle(n)
-    if family == "moon-moser":
-        return graph_io.gen_moon_moser(n)
-    if family == "gnp":
-        if p is None:
-            raise ValueError("gnp requires --p")
-        return graph_io.gen_gnp(n, p, seed)
-    raise ValueError(f"unknown family {family!r}")
+def _generate(family: str, n: int, p: float | None, seed: int | None) -> Graph:
+    generator, options = FAMILIES[family]
+    if "p" not in options:
+        return generator(n)
+    if p is None:
+        raise ValueError("gnp requires --p")
+    return generator(n, p, seed)
 
 
 def _cmd_gen(args) -> int:
@@ -117,19 +115,11 @@ def _run(g: Graph, raw: bool, assignment: PrimeAssignment | None = None):
     return set(cliques), stats, wall_ms
 
 
-def _record(
-    stats: solver.SolverStats,
-    wall_ms: float,
-    clique_count: int,
-    family: str,
-    n: int,
-    p: str = "",
-    seed: str = "",
-    verified: str = "",
-) -> dict[str, str]:
-    labels = (family, str(n), p, seed, f"{wall_ms:.3f}")
-    counters = (str(getattr(stats, name)) for name in STATS_COLUMNS)
-    return dict(zip(CSV_FIELDS, (*labels, *counters, str(clique_count), verified), strict=True))
+def _record(labels, stats: solver.SolverStats, wall_ms: float, clique_count: int) -> dict[str, str]:
+    """A ``solve --stats`` record as text; labels are family, n, p, seed."""
+    counters = (getattr(stats, name) for name in STATS_COLUMNS)
+    values = (*labels, f"{wall_ms:.3f}", *counters, clique_count)
+    return {k: "" if v is None else str(v) for k, v in zip(STATS_FIELDS, values, strict=True)}
 
 
 def _cmd_solve(args) -> int:
@@ -139,8 +129,7 @@ def _cmd_solve(args) -> int:
     cliques, stats, wall_ms = _run(g, args.raw, assignment)
     sys.stdout.write(graph_io.write_cliques(cliques, with_ids=args.ids, assignment=assignment))
     if args.stats:
-        record = _record(stats, wall_ms, len(cliques), family="file", n=g.n)
-        del record["verified"]  # present only when verification ran
+        record = _record(("file", g.n, None, None), stats, wall_ms, len(cliques))
         with open(args.stats, "w") as fh:
             fh.writelines(f"{k}={v}\n" for k, v in record.items())
     return 0
@@ -149,70 +138,64 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     g = _read_graph(args.input, args.format)
     cliques, _stats, _wall = _run(g, args.raw)
-    expected = oracle.bron_kerbosch(g)
-    report = oracle.diff(cliques, expected)
+    report = oracle.diff(cliques, oracle.bron_kerbosch(g))
     print(f"matched={report.matched} missing={len(report.missing)} extra={len(report.extra)}")
     if report.equal:
         return 0
-    for c in sorted(report.missing, key=sorted):
-        print("missing:", " ".join(str(v) for v in sorted(c)))
-    for c in sorted(report.extra, key=sorted):
-        print("extra:", " ".join(str(v) for v in sorted(c)))
+    for label, group in (("missing", report.missing), ("extra", report.extra)):
+        for c in sorted(group, key=sorted):
+            print(f"{label}:", " ".join(str(v) for v in sorted(c)))
     return 1
 
 
 def _parse_bench_spec(text: str):
-    """Matrix lines: ``<family> key=value ...`` with keys n (or k), p, seed,
-    verify; ``#`` comments. Returns runs in file order."""
+    """Check and convert every line before any runs (format: README, "Bench
+    matrix"). Returns ``(family, n, p, seed, verify, lineno)`` runs."""
     runs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        family = fields[0]
+        family, *items = line.split()
         if family not in FAMILIES:
             raise ParseError(f"unknown family {family!r}", lineno)
+        options = FAMILIES[family][1]
         opts = {}
-        for item in fields[1:]:
-            if "=" not in item:
+        for item in items:
+            key, sep, value = item.partition("=")
+            if not sep:
                 raise ParseError(f"expected key=value, got {item!r}", lineno)
-            key, value = item.split("=", 1)
+            if key not in ("n", "verify", *options):
+                raise ParseError(f"{family} takes no option {key!r}", lineno)
             opts[key] = value
-        runs.append((family, opts, lineno))
+        if "n" in opts and "k" in opts:
+            raise ParseError("give n or k, not both", lineno)
+        verify = opts.get("verify", "false")
+        if verify not in ("true", "false"):
+            raise ParseError(f"verify must be true or false, got {verify!r}", lineno)
+        try:
+            n = int(opts["k"] if "k" in opts else opts["n"])
+            p = float(opts["p"]) if "p" in options else None
+            seed = int(opts.get("seed", "0")) if "seed" in options else None
+        except KeyError as exc:
+            raise ParseError(f"missing option {exc.args[0]!r}", lineno)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno)
+        runs.append((family, n, p, seed, verify == "true", lineno))
     return runs
 
 
-def _bench_row(family: str, opts: dict[str, str], lineno: int) -> dict[str, str]:
-    known = {"n", "k", "p", "seed", "verify"}
-    for key in opts:
-        if key not in known:
-            raise ParseError(f"unknown option {key!r}", lineno)
-    verify = opts.get("verify", "false") == "true"
+def _bench_row(family: str, n: int, p, seed, verify: bool, lineno: int) -> dict[str, str]:
     try:
-        n = int(opts["k" if family == "moon-moser" and "k" in opts else "n"])
-        p = float(opts["p"]) if "p" in opts or family == "gnp" else None
-        seed = int(opts.get("seed", "0"))
-        # The generators' range errors name the spec line too.
         g = _generate(family, n, p, seed)
-    except KeyError as exc:
-        raise ParseError(f"missing option {exc.args[0]!r}", lineno)
     except ValueError as exc:
+        # The generators' range errors name the spec line too.
         raise ParseError(str(exc), lineno)
     cliques, stats, wall_ms = _run(g, raw=False)
     verified = ""
     if verify:
         verified = "true" if oracle.diff(cliques, oracle.bron_kerbosch(g)).equal else "false"
-    return _record(
-        stats,
-        wall_ms,
-        len(cliques),
-        family=family,
-        n=g.n,
-        p="" if p is None else repr(p),
-        seed=str(seed) if family == "gnp" else "",
-        verified=verified,
-    )
+    return {**_record((family, g.n, p, seed), stats, wall_ms, len(cliques)), "verified": verified}
 
 
 def _cmd_bench(args) -> int:
@@ -223,7 +206,7 @@ def _cmd_bench(args) -> int:
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, lineterminator="\n")
         writer.writeheader()
-        for family, opts, lineno in runs:
+        for run in runs:
             for _ in range(args.reps):
-                writer.writerow(_bench_row(family, opts, lineno))
+                writer.writerow(_bench_row(*run))
     return 0

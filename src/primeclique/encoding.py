@@ -84,14 +84,13 @@ class PrimeAssignment:
 
     @classmethod
     def default(cls, n: int) -> "PrimeAssignment":
-        return cls(tuple(first_n_primes(n)))
+        assignment = object.__new__(cls)  # the sieve's primes need no checks
+        object.__setattr__(assignment, "primes", tuple(first_n_primes(n)))
+        return assignment
 
     @property
     def n(self) -> int:
         return len(self.primes)
-
-    def prime_of(self, vertex: int) -> int:
-        return self.primes[vertex - 1]
 
 
 class WeightedVertex(NamedTuple):
@@ -122,14 +121,12 @@ def encode(g: Graph, assignment: PrimeAssignment | None = None) -> EncodedGraph:
         raise ValueError(
             f"assignment covers {assignment.n} vertices, graph has {g.n}"
         )
-    adj = g.adjacency()
-    tuples = []
-    for u in g.vertices():
-        weight = assignment.prime_of(u)
-        for v in adj[u]:
-            weight *= assignment.prime_of(v)
-        tuples.append(WeightedVertex(assignment.prime_of(u), weight))
-    return EncodedGraph(tuple(tuples), assignment)
+    primes = assignment.primes
+    weights = list(primes[: g.n])
+    for u, v in g.edges:
+        weights[u - 1] *= primes[v - 1]
+        weights[v - 1] *= primes[u - 1]
+    return EncodedGraph(tuple(map(WeightedVertex, primes, weights)), assignment)
 
 
 def has_edge(eg: EncodedGraph, i: int, j: int) -> bool:
@@ -143,7 +140,7 @@ def has_edge(eg: EncodedGraph, i: int, j: int) -> bool:
     return eg.tuples[j - 1].weight % eg.tuples[i - 1].value == 0
 
 
-def decode_clique(clique_id: int, assignment: PrimeAssignment) -> set[int]:
+def decode_clique(clique_id: int, assignment: PrimeAssignment) -> frozenset[int]:
     """The unique vertex set whose prime product equals the id.
 
     Raises IntegrityError for a malformed id (residue outside the basis).
@@ -152,7 +149,7 @@ def decode_clique(clique_id: int, assignment: PrimeAssignment) -> set[int]:
         indices = factor_over_basis(clique_id, assignment.primes)
     except ValueError as exc:
         raise IntegrityError(f"malformed clique id {clique_id}: {exc}") from exc
-    return {i + 1 for i in indices}
+    return frozenset(i + 1 for i in indices)
 
 
 def decode_graph(eg: EncodedGraph) -> Graph:

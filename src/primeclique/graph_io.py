@@ -206,14 +206,12 @@ def write_cliques(
     """
     if with_ids and assignment is None:
         raise ValueError("with_ids requires an assignment")
-    rows = []
+    lines = []
     for clique in cliques:
         members = sorted(clique)
-        key = " ".join(str(v) for v in members)
+        line = " ".join(map(str, members))
         if with_ids:
-            clique_id = math.prod(assignment.prime_of(v) for v in members)
-            rows.append((key, f"{key}\t{clique_id}"))
-        else:
-            rows.append((key, key))
-    rows.sort(key=lambda r: r[0])
-    return "".join(line + "\n" for _, line in rows)
+            line += f"\t{math.prod(assignment.primes[v - 1] for v in members)}"
+        lines.append(line + "\n")
+    # Tab and newline sort before space and digits: lines sort as members do.
+    return "".join(sorted(lines))

@@ -247,7 +247,7 @@ def sanitize(raw: Iterable[int], eg: EncodedGraph) -> frozenset[int]:
     return drop_contained_ids(raw)
 
 
-def _decode_clique_checked(clique_id: int, eg: EncodedGraph) -> set[int]:
+def _decode_clique_checked(clique_id: int, eg: EncodedGraph) -> frozenset[int]:
     """Decode an id, raising IntegrityError unless its vertices form a clique.
 
     The vertices are pairwise adjacent exactly when the id divides the
@@ -284,5 +284,5 @@ def solve_graph(
     ids, stats = find_cliques(eg.tuples, config)
     if config.sanitize:
         ids = sorted(ids)
-    cliques = [frozenset(_decode_clique_checked(i, eg)) for i in ids]
+    cliques = [_decode_clique_checked(i, eg) for i in ids]
     return cliques, stats

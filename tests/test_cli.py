@@ -207,6 +207,10 @@ def test_bench_empty_matrix(tmp_path):
         ("gnp n=10", "missing option 'p'"),
         ("path n=0", "path requires n >= 1"),
         ("gnp n=5 p=2", "edge probability must be in [0, 1]"),
+        ("complete n=3 p=0.5 seed=4", "complete takes no option 'p'"),
+        ("complete n=3 k=5", "complete takes no option 'k'"),
+        ("moon-moser n=2 k=3", "give n or k, not both"),
+        ("path n=4 verify=yes", "verify must be true or false"),
     ],
 )
 def test_bench_malformed_spec(tmp_path, capsys, line, message):
@@ -217,6 +221,15 @@ def test_bench_malformed_spec(tmp_path, capsys, line, message):
     err = capsys.readouterr().err
     assert message in err
     assert "line 1" in err
+
+
+def test_bench_checks_the_whole_spec_before_running(tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text("complete n=4\ncomplete n=3 bogus=1\n")
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_unwritable_out(tmp_path, capsys):

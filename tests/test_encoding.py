@@ -15,7 +15,7 @@ from primeclique.encoding import (
     has_edge,
 )
 from primeclique.errors import IntegrityError
-from primeclique.primes import factor_over_basis
+from primeclique.primes import factor_over_basis, first_n_primes
 
 
 def test_graph_rejects_bad_edges():
@@ -40,6 +40,13 @@ def test_assignment_default_and_validation():
         PrimeAssignment((2, 2))
     with pytest.raises(ValueError, match="not prime"):
         PrimeAssignment((2, 9))
+
+
+def test_default_assignment_equals_a_checked_one():
+    for n in range(61):
+        checked = PrimeAssignment(tuple(first_n_primes(n)))
+        assert PrimeAssignment.default(n) == checked
+        assert hash(PrimeAssignment.default(n)) == hash(checked)
 
 
 def test_encode_p3_weights(p3):

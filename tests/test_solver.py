@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -327,6 +328,23 @@ def test_exact_emission_equals_sanitized_literal_output(g, order):
     assert exact == {c for c in literal if math.gcd(*weights[c]) == c}
     # the per-level filter drops ids, never calls
     assert exact_stats == literal_stats
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=200, deadline=None)
+def test_common_of_is_the_common_closed_neighbourhood(g):
+    eg = encode(g)
+    with patch.object(solver, "merge_equal_weights", wraps=merge_equal_weights) as merge:
+        find_cliques(eg.tuples, SolverConfig(sanitize=False))
+    if g.n == 0:
+        return
+    common_of = merge.call_args_list[0].args[1]
+    assert all(call.args[1] is common_of for call in merge.call_args_list)
+    adj = g.adjacency()
+    for value, common in common_of.items():
+        members = decode_clique(value, eg.assignment)
+        expected = set.intersection(*(adj[v] | {v} for v in members))
+        assert decode_clique(common, eg.assignment) == expected
 
 
 SWEEP = (
