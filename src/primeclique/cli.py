@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--family", required=True, choices=FAMILIES)
     gen.add_argument("--n", required=True, type=int, help="vertex count (parts for moon-moser)")
     gen.add_argument("--p", type=float, help="edge probability (gnp only)")
-    gen.add_argument("--seed", type=int, default=0, help="PRNG seed (gnp only)")
+    gen.add_argument("--seed", type=int, help="PRNG seed (gnp only, default 0)")
     gen.add_argument("--out", required=True, help="output path")
     gen.set_defaults(func=_cmd_gen)
 
@@ -84,11 +84,14 @@ def entry() -> None:
 
 def _generate(family: str, n: int, p: float | None, seed: int | None) -> Graph:
     generator, options = FAMILIES[family]
+    for name, value in (("p", p), ("seed", seed)):
+        if value is not None and name not in options:
+            raise ValueError(f"{family} takes no option --{name}")
     if "p" not in options:
         return generator(n)
     if p is None:
         raise ValueError("gnp requires --p")
-    return generator(n, p, seed)
+    return generator(n, p, 0 if seed is None else seed)
 
 
 def _cmd_gen(args) -> int:
@@ -167,6 +170,8 @@ def _parse_bench_spec(text: str):
                 raise ParseError(f"expected key=value, got {item!r}", lineno)
             if key not in ("n", "verify", *options):
                 raise ParseError(f"{family} takes no option {key!r}", lineno)
+            if key in opts:
+                raise ParseError(f"duplicate option {key!r}", lineno)
             opts[key] = value
         if "n" in opts and "k" in opts:
             raise ParseError("give n or k, not both", lineno)

@@ -9,7 +9,13 @@ not what limits scale: a weight holds one prime per closed neighbor, so a
 10**4-vertex path has 51-bit weights. Time is: on sparse graphs each level
 of the enumeration re-sorts, merges and partitions the whole pivot-free
 remainder, so the work grows quadratically (a 10**4-vertex path takes about
-16 s in CPython 3.11 on a shared Intel Xeon core).
+16-18 s in CPython 3.11 on a shared Intel Xeon core).
+
+``factor_over_basis`` trial-divides the whole basis, O(n) per value. The
+solver no longer decodes its ids with it: it finds one member by a gcd
+descent through a product tree of the basis and divides out only that
+member's neighbours' primes. It falls back to ``factor_over_basis`` for an
+id that does not decode to a clique that way, to name the fault.
 """
 
 import math

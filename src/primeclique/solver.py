@@ -45,7 +45,7 @@ integrity check and prune for literal lists.
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 from . import encoding
 from .encoding import EncodedGraph, Graph, WeightedVertex
@@ -266,6 +266,52 @@ def _decode_clique_checked(clique_id: int, eg: EncodedGraph) -> frozenset[int]:
     return members
 
 
+def _clique_decoder(g: Graph, eg: EncodedGraph) -> Callable[[int], frozenset[int]]:
+    """A decoder for ids over ``eg`` that tests one member's neighbours only.
+
+    A gcd descent through a product tree of the vertex primes finds one
+    member v of the id in O(log n) gcds. Every other member of a clique is
+    a neighbour of v, so only their primes are divided out. An id that does
+    not come out as a clique that way (no prime in the basis, a residue, a
+    member whose weight the id does not divide) goes to
+    ``_decode_clique_checked``, which raises the IntegrityError; on every
+    other id the two agree.
+    """
+    tuples = eg.tuples
+    adjacency = g.adjacency()
+    values = [t.value for t in tuples]
+    # A product tree, leaves first: levels[k + 1][i] = levels[k][2i] * levels[k][2i + 1].
+    levels = [values]
+    while len(levels[-1]) > 1:
+        below = levels[-1]
+        levels.append([math.prod(below[i : i + 2]) for i in range(0, len(below), 2)])
+    root = math.prod(levels.pop())  # 1 for the empty graph
+    levels.reverse()
+
+    def decode(clique_id: int) -> frozenset[int]:
+        # The root check keeps the descent's invariant: the node shares a
+        # prime with the id, so if its left part does not, its right does.
+        if clique_id > 1 and math.gcd(clique_id, root) > 1:
+            i = 0
+            for level in levels:
+                i *= 2
+                if math.gcd(clique_id, level[i]) == 1:
+                    i += 1
+            members = [i + 1]
+            residue = clique_id // values[i]
+            for u in adjacency[i + 1]:
+                if residue == 1:
+                    break
+                if residue % values[u - 1] == 0:
+                    residue //= values[u - 1]
+                    members.append(u)
+            if residue == 1 and not any(tuples[u - 1].weight % clique_id for u in members):
+                return frozenset(members)
+        return _decode_clique_checked(clique_id, eg)
+
+    return decode
+
+
 def solve_graph(
     g: Graph,
     config: SolverConfig | None = None,
@@ -275,8 +321,9 @@ def solve_graph(
 
     Sanitized mode returns each maximal clique once, in id order, as the
     enumeration emits it; raw mode returns the literal ids in emission
-    order, non-maximal entries included. Each id is decoded once and checked
-    to be a clique (IntegrityError otherwise).
+    order, non-maximal entries included. Each id is decoded once, from one
+    member's neighbourhood, and checked to be a clique (IntegrityError
+    otherwise).
     """
     if config is None:
         config = SolverConfig()
@@ -284,5 +331,6 @@ def solve_graph(
     ids, stats = find_cliques(eg.tuples, config)
     if config.sanitize:
         ids = sorted(ids)
-    cliques = [_decode_clique_checked(i, eg) for i in ids]
+    decode = _clique_decoder(g, eg)
+    cliques = [decode(i) for i in ids]
     return cliques, stats

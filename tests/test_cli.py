@@ -44,6 +44,25 @@ def test_gen_gnp_requires_p(tmp_path, capsys):
     assert "--p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "family, option", [("complete", ["--p", "0.3"]), ("path", ["--seed", "3"])]
+)
+def test_gen_rejects_an_option_the_family_ignores(tmp_path, capsys, family, option):
+    out = tmp_path / "g.dimacs"
+    code = main(["gen", "--family", family, "--n", "5", *option, "--out", str(out)])
+    assert code == 2
+    assert f"{family} takes no option {option[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_gnp_seed_defaults_to_0(tmp_path):
+    paths = [tmp_path / "default.dimacs", tmp_path / "zero.dimacs"]
+    for path, seed in zip(paths, ([], ["--seed", "0"])):
+        argv = ["gen", "--family", "gnp", "--n", "30", "--p", "0.4", *seed, "--out", str(path)]
+        assert main(argv) == 0
+    assert paths[0].read_text() == paths[1].read_text()
+
+
 def test_solve_p3_golden(capsys):
     assert main(["solve", "--input", P3]) == 0
     assert capsys.readouterr().out == "1 2\n2 3\n"
@@ -211,6 +230,7 @@ def test_bench_empty_matrix(tmp_path):
         ("complete n=3 k=5", "complete takes no option 'k'"),
         ("moon-moser n=2 k=3", "give n or k, not both"),
         ("path n=4 verify=yes", "verify must be true or false"),
+        ("complete n=3 n=5", "duplicate option 'n'"),
     ],
 )
 def test_bench_malformed_spec(tmp_path, capsys, line, message):

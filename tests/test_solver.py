@@ -391,6 +391,7 @@ def test_slow_sweep_matches_bron_kerbosch(family, n, p):
         (35, "id 35 decodes to a non-clique: vertices 3 and 4 are not adjacent"),
         (210, "vertices 1 and 4 are not adjacent"),  # {1,2,3,4}: the first bad pair
         (4, "malformed clique id 4"),  # 2 * 2, not squarefree
+        (11, "malformed clique id 11"),  # no prime of the basis: fails the root check
     ],
 )
 @pytest.mark.parametrize("sanitized", [True, False])
@@ -402,6 +403,29 @@ def test_solve_graph_rejects_injected_ids(paw, monkeypatch, bad_id, message, san
     monkeypatch.setattr(solver, "find_cliques", injected)
     with pytest.raises(IntegrityError, match=message):
         solve_graph(paw, SolverConfig(sanitize=sanitized))
+
+
+def _decoded_or_error(decode, clique_id):
+    try:
+        return decode(clique_id)
+    except IntegrityError as exc:
+        return str(exc)
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=60, deadline=None)
+def test_clique_decoder_agrees_with_checked_decode(g):
+    # every vertex subset, cliques or not, and ids with a prime outside the
+    # basis (11 times the subset) or a squared prime (4)
+    eg = encode(g)
+    decode = solver._clique_decoder(g, eg)
+    primes = [t.value for t in eg.tuples]
+    subset_ids = [
+        math.prod(p for k, p in enumerate(primes) if mask >> k & 1) for mask in range(1 << g.n)
+    ]
+    for clique_id in [*subset_ids, *(11 * i for i in subset_ids), 4]:
+        expected = _decoded_or_error(lambda i: solver._decode_clique_checked(i, eg), clique_id)
+        assert _decoded_or_error(decode, clique_id) == expected
 
 
 def complete_with_pendants(k: int) -> Graph:
