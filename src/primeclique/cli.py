@@ -130,7 +130,7 @@ def _cmd_solve(args) -> int:
     # Built only for --ids, and then shared with the encoder.
     assignment = PrimeAssignment.default(g.n) if args.ids else None
     cliques, stats, wall_ms = _run(g, args.raw, assignment)
-    sys.stdout.write(graph_io.write_cliques(cliques, with_ids=args.ids, assignment=assignment))
+    sys.stdout.write(graph_io.write_cliques(cliques, assignment))
     if args.stats:
         record = _record(("file", g.n, None, None), stats, wall_ms, len(cliques))
         with open(args.stats, "w") as fh:

@@ -107,7 +107,7 @@ class WeightedVertex(NamedTuple):
 
 @dataclass(frozen=True)
 class EncodedGraph:
-    """One WeightedVertex per vertex (index k-1 <-> vertex k) plus the assignment."""
+    """One WeightedVertex per vertex (index k-1 <-> vertex k) plus their n primes."""
 
     tuples: tuple[WeightedVertex, ...]
     assignment: PrimeAssignment
@@ -121,8 +121,10 @@ def encode(g: Graph, assignment: PrimeAssignment | None = None) -> EncodedGraph:
         raise ValueError(
             f"assignment covers {assignment.n} vertices, graph has {g.n}"
         )
+    if assignment.n > g.n:  # ids then decode over the tuples' primes only
+        assignment = PrimeAssignment(assignment.primes[: g.n])
     primes = assignment.primes
-    weights = list(primes[: g.n])
+    weights = list(primes)
     for u, v in g.edges:
         weights[u - 1] *= primes[v - 1]
         weights[v - 1] *= primes[u - 1]

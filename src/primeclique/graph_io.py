@@ -194,23 +194,17 @@ def gen_moon_moser(k: int) -> Graph:
     return Graph.from_edges(n, pairs)
 
 
-def write_cliques(
-    cliques,
-    with_ids: bool = False,
-    assignment: PrimeAssignment | None = None,
-) -> str:
+def write_cliques(cliques, assignment: PrimeAssignment | None = None) -> str:
     """Render cliques in the byte-exact text format.
 
-    With ids, each line gains a tab and the decimal product of the
-    clique's primes under the given assignment.
+    Given an assignment, each line gains a tab and the decimal product of
+    the clique's primes under it.
     """
-    if with_ids and assignment is None:
-        raise ValueError("with_ids requires an assignment")
     lines = []
     for clique in cliques:
         members = sorted(clique)
         line = " ".join(map(str, members))
-        if with_ids:
+        if assignment is not None:
             line += f"\t{math.prod(assignment.primes[v - 1] for v in members)}"
         lines.append(line + "\n")
     # Tab and newline sort before space and digits: lines sort as members do.

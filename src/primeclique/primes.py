@@ -12,10 +12,11 @@ remainder, so the work grows quadratically (a 10**4-vertex path takes about
 16-18 s in CPython 3.11 on a shared Intel Xeon core).
 
 ``factor_over_basis`` trial-divides the whole basis, O(n) per value. The
-solver no longer decodes its ids with it: it finds one member by a gcd
-descent through a product tree of the basis and divides out only that
-member's neighbours' primes. It falls back to ``factor_over_basis`` for an
-id that does not decode to a clique that way, to name the fault.
+solver no longer decodes its ids with it: a gcd descent through a product
+tree of the graph's n primes reaches one leaf, whose prime must divide the
+id, and only that member's neighbours' primes are divided out. It falls
+back to ``factor_over_basis``, over the same n primes, for an id that does
+not decode to a clique that way, to name the fault.
 """
 
 import math

@@ -153,15 +153,14 @@ def partition_by_pivot(
 def eliminate_case1_from_right(
     right: Sequence[WeightedVertex], pivot_bound: Sequence[WeightedVertex]
 ) -> TupleList:
-    """Divide every case-1 value out of the right-hand weights it divides."""
-    out: TupleList = []
-    for t in right:
-        w = t.weight
-        for member in pivot_bound:
-            if w % member.value == 0:
-                w //= member.value
-        out.append(t if w == t.weight else WeightedVertex(t.value, w))
-    return out
+    """Divide every case-1 value out of the right-hand weights it divides.
+
+    One gcd with the product of the case-1 values per weight does it: the
+    vertices merged into one case-1 value are twins, so a weight holds all
+    of their primes or none.
+    """
+    case1 = math.prod(t.value for t in pivot_bound)
+    return [WeightedVertex(t.value, t.weight // math.gcd(t.weight, case1)) for t in right]
 
 
 def find_cliques(
@@ -269,44 +268,42 @@ def _decode_clique_checked(clique_id: int, eg: EncodedGraph) -> frozenset[int]:
 def _clique_decoder(g: Graph, eg: EncodedGraph) -> Callable[[int], frozenset[int]]:
     """A decoder for ids over ``eg`` that tests one member's neighbours only.
 
-    A gcd descent through a product tree of the vertex primes finds one
-    member v of the id in O(log n) gcds. Every other member of a clique is
-    a neighbour of v, so only their primes are divided out. An id that does
-    not come out as a clique that way (no prime in the basis, a residue, a
-    member whose weight the id does not divide) goes to
+    A gcd descent through a product tree of the vertex primes reaches one
+    leaf v in O(log n) gcds: v is a member if its prime divides the id.
+    Every other member of a clique is a neighbour of v, so only their
+    primes are divided out, and the id is accepted iff it divides every
+    member's weight (which for v confines it to N[v]). Any other id goes to
     ``_decode_clique_checked``, which raises the IntegrityError; on every
     other id the two agree.
     """
     tuples = eg.tuples
     adjacency = g.adjacency()
     values = [t.value for t in tuples]
-    # A product tree, leaves first: levels[k + 1][i] = levels[k][2i] * levels[k][2i + 1].
-    levels = [values]
-    while len(levels[-1]) > 1:
-        below = levels[-1]
-        levels.append([math.prod(below[i : i + 2]) for i in range(0, len(below), 2)])
-    root = math.prod(levels.pop())  # 1 for the empty graph
-    levels.reverse()
+    n = len(values)
+    # Heap order: leaves at tree[n:2n], tree[i] = tree[2i] * tree[2i + 1].
+    tree = [1] * n + values
+    for i in range(n - 1, 0, -1):
+        tree[i] = tree[2 * i] * tree[2 * i + 1]
 
     def decode(clique_id: int) -> frozenset[int]:
-        # The root check keeps the descent's invariant: the node shares a
-        # prime with the id, so if its left part does not, its right does.
-        if clique_id > 1 and math.gcd(clique_id, root) > 1:
-            i = 0
-            for level in levels:
+        if clique_id > 1 and n:  # the empty graph's tree has no leaf
+            i = 1
+            while i < n:
                 i *= 2
-                if math.gcd(clique_id, level[i]) == 1:
+                if math.gcd(clique_id, tree[i]) == 1:
                     i += 1
-            members = [i + 1]
-            residue = clique_id // values[i]
-            for u in adjacency[i + 1]:
-                if residue == 1:
-                    break
-                if residue % values[u - 1] == 0:
-                    residue //= values[u - 1]
-                    members.append(u)
-            if residue == 1 and not any(tuples[u - 1].weight % clique_id for u in members):
-                return frozenset(members)
+            v = i - n + 1
+            if clique_id % values[v - 1] == 0:
+                members = [v]
+                residue = clique_id // values[v - 1]
+                for u in adjacency[v]:
+                    if residue == 1:
+                        break
+                    if residue % values[u - 1] == 0:
+                        residue //= values[u - 1]
+                        members.append(u)
+                if not any(tuples[u - 1].weight % clique_id for u in members):
+                    return frozenset(members)
         return _decode_clique_checked(clique_id, eg)
 
     return decode

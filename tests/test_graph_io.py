@@ -150,20 +150,15 @@ def test_write_cliques_plain():
 
 def test_write_cliques_with_ids():
     assignment = PrimeAssignment((2, 3, 5))
-    out = write_cliques([{1, 2}, {2, 3}], with_ids=True, assignment=assignment)
+    out = write_cliques([{1, 2}, {2, 3}], assignment)
     assert out == "1 2\t6\n2 3\t15\n"
 
 
 def test_write_cliques_with_ids_orders_a_prefix_first():
     # the tab after "1 2" sorts before the space of "1 2 3"
     assignment = PrimeAssignment((2, 3, 5))
-    out = write_cliques([{1, 2, 3}, {1, 2}], with_ids=True, assignment=assignment)
+    out = write_cliques([{1, 2, 3}, {1, 2}], assignment)
     assert out == "1 2\t6\n1 2 3\t30\n"
-
-
-def test_write_cliques_requires_assignment_for_ids():
-    with pytest.raises(ValueError, match="assignment"):
-        write_cliques([{1}], with_ids=True)
 
 
 def test_write_cliques_orders_lines_as_strings():

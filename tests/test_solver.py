@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from _strategies import graphs
 import primeclique
 from primeclique import solver
-from primeclique.encoding import Graph, WeightedVertex, decode_clique, encode
+from primeclique.encoding import Graph, PrimeAssignment, WeightedVertex, decode_clique, encode
 from primeclique.errors import IntegrityError
 from primeclique.graph_io import gen_complete, gen_cycle, gen_gnp, gen_moon_moser, gen_path
 from primeclique.oracle import bron_kerbosch, diff, is_clique, is_maximal
@@ -220,6 +220,14 @@ def test_sanitize_rejects_non_clique(paw):
         sanitize([30, 35], eg)
 
 
+def test_sanitize_decodes_over_the_graphs_primes_only():
+    # 7 is in the assignment but names no vertex of the 3-vertex path
+    eg = encode(gen_path(3), PrimeAssignment((2, 3, 5, 7)))
+    assert eg.assignment.primes == (2, 3, 5)
+    with pytest.raises(IntegrityError, match="malformed clique id 7: residue 7 is not 1"):
+        sanitize([7], eg)
+
+
 def test_drop_contained_ids():
     assert drop_contained_ids([30, 6, 6, 21]) == frozenset({30, 21})
     assert drop_contained_ids([]) == frozenset()
@@ -391,7 +399,7 @@ def test_slow_sweep_matches_bron_kerbosch(family, n, p):
         (35, "id 35 decodes to a non-clique: vertices 3 and 4 are not adjacent"),
         (210, "vertices 1 and 4 are not adjacent"),  # {1,2,3,4}: the first bad pair
         (4, "malformed clique id 4"),  # 2 * 2, not squarefree
-        (11, "malformed clique id 11"),  # no prime of the basis: fails the root check
+        (11, "malformed clique id 11"),  # no prime of the basis: fails at the leaf
     ],
 )
 @pytest.mark.parametrize("sanitized", [True, False])
@@ -412,20 +420,33 @@ def _decoded_or_error(decode, clique_id):
         return str(exc)
 
 
-@given(graphs(max_n=9))
+@given(graphs(max_n=9), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
-def test_clique_decoder_agrees_with_checked_decode(g):
+def test_clique_decoder_agrees_with_checked_decode(g, extra):
     # every vertex subset, cliques or not, and ids with a prime outside the
-    # basis (11 times the subset) or a squared prime (4)
-    eg = encode(g)
+    # basis (11 times the subset, or a prime of the assignment beyond the
+    # graph's n), a squared prime (4), 0, 1 and a negative id
+    assignment = PrimeAssignment.default(g.n + extra)
+    eg = encode(g, assignment)
     decode = solver._clique_decoder(g, eg)
     primes = [t.value for t in eg.tuples]
     subset_ids = [
         math.prod(p for k, p in enumerate(primes) if mask >> k & 1) for mask in range(1 << g.n)
     ]
-    for clique_id in [*subset_ids, *(11 * i for i in subset_ids), 4]:
+    others = [4, 0, 1, -6, *assignment.primes[g.n :]]
+    for clique_id in [*subset_ids, *(11 * i for i in subset_ids), *others]:
         expected = _decoded_or_error(lambda i: solver._decode_clique_checked(i, eg), clique_id)
         assert _decoded_or_error(decode, clique_id) == expected
+
+
+def test_clique_decoder_decodes_cliques_without_the_checked_decode(monkeypatch):
+    # the fallback gives the same sets, so only this shows the descent works
+    g = gen_gnp(40, 0.3, seed=5)
+    eg = encode(g)
+    decode = solver._clique_decoder(g, eg)
+    monkeypatch.setattr(solver, "_decode_clique_checked", None)
+    for clique in bron_kerbosch(g):
+        assert decode(math.prod(eg.tuples[v - 1].value for v in clique)) == clique
 
 
 def complete_with_pendants(k: int) -> Graph:
