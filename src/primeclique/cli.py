@@ -24,9 +24,11 @@ FAMILIES = {
 }
 
 # SolverStats fields reported by ``solve --stats`` and the bench CSV, in order.
+# The case split follows every older column, ``verified`` included.
 STATS_COLUMNS = ("recursive_calls", "merges", "pivot_splits", "gcd_calls", "max_weight_bits")
-STATS_FIELDS = ("family", "n", "p", "seed", "wall_ms", *STATS_COLUMNS, "clique_count")
-CSV_FIELDS = [*STATS_FIELDS, "verified"]
+CASE_COLUMNS = ("case1_count", "case2_count")
+STATS_FIELDS = ("family", "n", "p", "seed", "wall_ms", *STATS_COLUMNS, "clique_count", *CASE_COLUMNS)
+CSV_FIELDS = [*STATS_FIELDS[: -len(CASE_COLUMNS)], "verified", *CASE_COLUMNS]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,7 +123,8 @@ def _run(g: Graph, raw: bool, assignment: PrimeAssignment | None = None):
 def _record(labels, stats: solver.SolverStats, wall_ms: float, clique_count: int) -> dict[str, str]:
     """A ``solve --stats`` record as text; labels are family, n, p, seed."""
     counters = (getattr(stats, name) for name in STATS_COLUMNS)
-    values = (*labels, f"{wall_ms:.3f}", *counters, clique_count)
+    cases = (getattr(stats, name) for name in CASE_COLUMNS)
+    values = (*labels, f"{wall_ms:.3f}", *counters, clique_count, *cases)
     return {k: "" if v is None else str(v) for k, v in zip(STATS_FIELDS, values, strict=True)}
 
 

@@ -107,14 +107,24 @@ class WeightedVertex(NamedTuple):
 
 @dataclass(frozen=True)
 class EncodedGraph:
-    """One WeightedVertex per vertex (index k-1 <-> vertex k) plus their n primes."""
+    """One WeightedVertex per vertex (index k-1 <-> vertex k), their n primes,
+    and each vertex's open neighbourhood as a list of 0-based indices.
+
+    The lists let the solver and the decoder reach a vertex's neighbours
+    without a scan; ``decode_graph`` rebuilds the graph from the weights
+    alone.
+    """
 
     tuples: tuple[WeightedVertex, ...]
     assignment: PrimeAssignment
+    neighbours: tuple[list[int], ...]
 
 
 def encode(g: Graph, assignment: PrimeAssignment | None = None) -> EncodedGraph:
-    """Encode a graph: vertex k gets value = its prime, weight = product over N[k]."""
+    """Encode a graph: vertex k gets value = its prime, weight = product over N[k].
+
+    The same pass over the edges fills the 0-based neighbour lists.
+    """
     if assignment is None:
         assignment = PrimeAssignment.default(g.n)
     if assignment.n < g.n:
@@ -125,10 +135,15 @@ def encode(g: Graph, assignment: PrimeAssignment | None = None) -> EncodedGraph:
         assignment = PrimeAssignment(assignment.primes[: g.n])
     primes = assignment.primes
     weights = list(primes)
+    neighbours: tuple[list[int], ...] = tuple([] for _ in primes)
     for u, v in g.edges:
-        weights[u - 1] *= primes[v - 1]
-        weights[v - 1] *= primes[u - 1]
-    return EncodedGraph(tuple(map(WeightedVertex, primes, weights)), assignment)
+        u -= 1
+        v -= 1
+        weights[u] *= primes[v]
+        weights[v] *= primes[u]
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    return EncodedGraph(tuple(map(WeightedVertex, primes, weights)), assignment, neighbours)
 
 
 def has_edge(eg: EncodedGraph, i: int, j: int) -> bool:

@@ -1,11 +1,11 @@
 """Maximal-clique enumeration over the arithmetic encoding, on an explicit stack.
 
-Each step sorts a tuple list by weight, merges vertices with equal weights
-(equal weight means equal closed neighborhood, so such vertices belong to
-exactly the same cliques and coalesce into one tuple whose value is the
-product of theirs), and stops when one tuple is left, emitting its value as
-a clique id. Otherwise the first tuple becomes the pivot and the rest split
-three ways:
+The paper's step sorts a tuple list by weight, merges vertices with equal
+weights (equal weight means equal closed neighborhood, so such vertices
+belong to exactly the same cliques and coalesce into one tuple whose value
+is the product of theirs), and stops when one tuple is left, emitting its
+value as a clique id. Otherwise the first tuple becomes the pivot and the
+rest split three ways:
 
 * not adjacent to the pivot: kept for the pivot-free side unchanged;
 * adjacent, with closed neighborhood contained in the pivot's ("case 1"):
@@ -18,11 +18,31 @@ three ways:
 Case-1 primes are then divided out of the pivot-free copies of case-2
 vertices, since no maximal clique avoiding the pivot can use a case-1
 vertex. No other tuple carries one, as a case-1 vertex's closed
-neighborhood lies inside the pivot's. Where the paper recurses on both
-sides, each side here becomes a stack entry ``(tuples, prefix, common)``:
-``prefix`` is the product of the pivot values whose induced subgraph the
+neighborhood lies inside the pivot's. ``sort_by_weight``,
+``merge_equal_weights``, ``partition_by_pivot`` and
+``eliminate_case1_from_right`` are that literal step, one pass over the
+whole list each, and the reference ``find_cliques`` is tested against.
+
+``find_cliques`` takes the same steps without the passes. A stack entry
+holds its tuples indexed three ways: a dict weight -> (value, one vertex
+index), where a tuple whose weight is already present merges on insert; a
+dict vertex index -> weight for that one vertex; and a heap of weights,
+with lazy deletion, that yields the pivot (the largest weight for
+``descending``, the smallest for ``ascending``; weights are unique after
+merging). A weight only ever loses primes, so it holds none but its
+vertices' own and their common input neighbours', and every vertex of a
+tuple adjacent to the pivot is an input neighbour of each pivot vertex:
+``EncodedGraph.neighbours`` of one of them gives those tuples, filtered by
+the same divisibility test. The pivot side is
+built fresh from them. The pivot-free side is the popped entry itself,
+updated in place: the pivot and its neighbours leave, and each case-2
+copy comes back under its eliminated weight, merging if that weight is
+taken. A step costs O(deg log n) instead of O(remainder).
+
+Where the paper recurses on both sides, each side becomes a stack entry
+with ``prefix``, the product of the pivot values whose induced subgraph the
 entry lies in (an id found in the entry is emitted times it), and
-``common`` the gcd of those vertices' input weights, their common closed
+``common``, the gcd of those vertices' input weights, their common closed
 neighborhood (0, the gcd identity, at the root). The pivot-free side is
 pushed first, so the pivot side is finished before it and ids come out
 in the order of the paper's recursion. A pivot whose induced subgraph is
@@ -43,6 +63,7 @@ emits every maximal clique exactly once; ``sanitize`` stays the
 integrity check and prune for literal lists.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Sequence
@@ -164,53 +185,112 @@ def eliminate_case1_from_right(
 
 
 def find_cliques(
-    q: Sequence[WeightedVertex], config: SolverConfig | None = None
+    eg: EncodedGraph, config: SolverConfig | None = None
 ) -> tuple[frozenset[int] | list[int], SolverStats]:
-    """Enumerate clique ids for an encoded tuple list.
+    """Enumerate clique ids for an encoded graph.
 
     Returns the maximal-clique ids as a frozenset when ``config.sanitize``
     is on, or the paper's literal id list in emission order when it is off.
-    Both runs make the same steps, so their stats are equal.
+    Both runs make the same steps, so their stats are equal. The ids, their
+    order and the stats are those of the literal step built from
+    ``sort_by_weight``, ``merge_equal_weights``, ``partition_by_pivot`` and
+    ``eliminate_case1_from_right``; a step here costs O(deg log n), not
+    O(remainder).
     """
     if config is None:
         config = SolverConfig()
     # Every weight the enumeration forms divides an input weight (partition
     # divides or takes a gcd, elimination divides), so the input is widest.
-    stats = SolverStats(max_weight_bits=max((t.weight.bit_length() for t in q), default=0))
-    ids = _enumerate(q, config.pivot_order, stats, config.sanitize)
+    stats = SolverStats(max_weight_bits=max((t.weight.bit_length() for t in eg.tuples), default=0))
+    common_of = {t.value: t.weight for t in eg.tuples}
+    ids = _enumerate(eg, config.pivot_order, stats, config.sanitize, common_of)
     return (frozenset(ids) if config.sanitize else ids), stats
 
 
-def _enumerate(q: Sequence[WeightedVertex], order: str, stats: SolverStats, maximal: bool) -> list[int]:
+def _enumerate(
+    eg: EncodedGraph, order: str, stats: SolverStats, maximal: bool, common_of: dict[int, int]
+) -> list[int]:
+    if order not in ("descending", "ascending"):
+        raise ValueError(f"unknown order {order!r}")
+    # Heap keys are sign * weight, so heap[0] holds the pivot's weight.
+    sign = -1 if order == "descending" else 1
+    neighbours = eg.neighbours
+
+    def entry(items: Iterable[tuple[int, int, int]]):
+        """A fresh entry from (value, vertex index, weight) items, merging
+        equal weights: weight -> (value, index), index -> weight, heap."""
+        tuples: dict[int, tuple[int, int]] = {}
+        for value, index, weight in items:
+            if weight in tuples:
+                other, kept = tuples[weight]
+                tuples[weight] = (other * value, kept)
+                common_of[other * value] = math.gcd(common_of[other], common_of[value])
+                stats.merges += 1
+            else:
+                tuples[weight] = (value, index)
+        heap = [sign * weight for weight in tuples]
+        heapq.heapify(heap)
+        return tuples, {index: weight for weight, (_, index) in tuples.items()}, heap
+
     emitted: list[int] = []
-    common_of = {t.value: t.weight for t in q}
-    stack = [(q, 1, 0)]
+    stack = [(entry((t.value, i, t.weight) for i, t in enumerate(eg.tuples)), 1, 0)]
     while stack:
-        q, prefix, common = stack.pop()
+        (tuples, weight_of, heap), prefix, common = stack.pop()
         stats.recursive_calls += 1
-        q = sort_by_weight(q, order)
-        if not q:
+        if not tuples:
             continue
-        n = len(q)
-        q = merge_equal_weights(q, common_of)
-        stats.merges += n - len(q)
-        pivot = q[0]
-        inner = math.gcd(common, common_of[pivot.value])
-        if len(q) > 1:
+        pivot_weight = sign * heapq.heappop(heap)
+        while pivot_weight not in tuples:  # a weight removed since it was pushed
+            pivot_weight = sign * heapq.heappop(heap)
+        pivot_value, pivot_index = tuples.pop(pivot_weight)
+        del weight_of[pivot_index]
+        inner = math.gcd(common, common_of[pivot_value])
+        if tuples:
             stats.pivot_splits += 1
-            left, right, pivot_bound = partition_by_pivot(q[1:], pivot)
-            case2 = len(left) - len(pivot_bound)
-            stats.case1_count += len(pivot_bound)
-            stats.case2_count += case2
-            stats.gcd_calls += case2
+            # Every vertex of a tuple adjacent to the pivot is an input
+            # neighbour of each pivot vertex; weight_of holds one vertex per
+            # tuple, so each live tuple is found once.
+            left = []
+            copies = []
+            case1 = 1
+            for v in neighbours[pivot_index]:
+                weight = weight_of.get(v)
+                if weight is None or weight % pivot_value:
+                    continue
+                value = tuples.pop(weight)[0]
+                del weight_of[v]
+                reduced = weight // pivot_value
+                if pivot_weight % reduced == 0:
+                    left.append((value, v, reduced))
+                    case1 *= value
+                else:
+                    left.append((value, v, math.gcd(pivot_weight, reduced)))
+                    copies.append((value, v, reduced))
+            stats.case1_count += len(left) - len(copies)
+            stats.case2_count += len(copies)
+            stats.gcd_calls += len(copies)
+            # The popped entry becomes the pivot-free side: the pivot and its
+            # neighbours are out, and each case-2 copy comes back under its
+            # weight with the case-1 values divided out.
+            for value, v, weight in copies:
+                weight //= math.gcd(weight, case1)
+                if weight in tuples:
+                    other, kept = tuples[weight]
+                    tuples[weight] = (other * value, kept)
+                    common_of[other * value] = math.gcd(common_of[other], common_of[value])
+                    stats.merges += 1
+                else:
+                    tuples[weight] = (value, v)
+                    weight_of[v] = weight
+                    heapq.heappush(heap, sign * weight)
             # Pushed first, so popped after the whole pivot side.
-            stack.append((right, prefix, common))
-            stack.append((left, prefix * pivot.value, inner))
+            stack.append(((tuples, weight_of, heap), prefix, common))
+            stack.append((entry(left), prefix * pivot_value, inner))
             if left:
                 continue
             # An isolated pivot forms its own maximal clique; the empty
             # pivot side would silently lose it.
-        clique_id = prefix * pivot.value
+        clique_id = prefix * pivot_value
         if not maximal or inner == clique_id:
             emitted.append(clique_id)
     return emitted
@@ -265,19 +345,19 @@ def _decode_clique_checked(clique_id: int, eg: EncodedGraph) -> frozenset[int]:
     return members
 
 
-def _clique_decoder(g: Graph, eg: EncodedGraph) -> Callable[[int], frozenset[int]]:
+def _clique_decoder(eg: EncodedGraph) -> Callable[[int], frozenset[int]]:
     """A decoder for ids over ``eg`` that tests one member's neighbours only.
 
     A gcd descent through a product tree of the vertex primes reaches one
     leaf v in O(log n) gcds: v is a member if its prime divides the id.
-    Every other member of a clique is a neighbour of v, so only their
-    primes are divided out, and the id is accepted iff it divides every
-    member's weight (which for v confines it to N[v]). Any other id goes to
-    ``_decode_clique_checked``, which raises the IntegrityError; on every
-    other id the two agree.
+    Every other member of a clique is a neighbour of v, so only the primes
+    of ``eg.neighbours[v]`` are divided out, and the id is accepted iff it
+    divides every member's weight (which for v confines it to N[v]). Any
+    other id goes to ``_decode_clique_checked``, which raises the
+    IntegrityError; on every other id the two agree.
     """
     tuples = eg.tuples
-    adjacency = g.adjacency()
+    neighbours = eg.neighbours
     values = [t.value for t in tuples]
     n = len(values)
     # Heap order: leaves at tree[n:2n], tree[i] = tree[2i] * tree[2i + 1].
@@ -292,18 +372,18 @@ def _clique_decoder(g: Graph, eg: EncodedGraph) -> Callable[[int], frozenset[int
                 i *= 2
                 if math.gcd(clique_id, tree[i]) == 1:
                     i += 1
-            v = i - n + 1
-            if clique_id % values[v - 1] == 0:
+            v = i - n  # 0-based, as in the neighbour lists
+            if clique_id % values[v] == 0:
                 members = [v]
-                residue = clique_id // values[v - 1]
-                for u in adjacency[v]:
+                residue = clique_id // values[v]
+                for u in neighbours[v]:
                     if residue == 1:
                         break
-                    if residue % values[u - 1] == 0:
-                        residue //= values[u - 1]
+                    if residue % values[u] == 0:
+                        residue //= values[u]
                         members.append(u)
-                if not any(tuples[u - 1].weight % clique_id for u in members):
-                    return frozenset(members)
+                if not any(tuples[u].weight % clique_id for u in members):
+                    return frozenset(u + 1 for u in members)
         return _decode_clique_checked(clique_id, eg)
 
     return decode
@@ -325,9 +405,9 @@ def solve_graph(
     if config is None:
         config = SolverConfig()
     eg = encoding.encode(g, assignment)
-    ids, stats = find_cliques(eg.tuples, config)
+    ids, stats = find_cliques(eg, config)
     if config.sanitize:
         ids = sorted(ids)
-    decode = _clique_decoder(g, eg)
+    decode = _clique_decoder(eg)
     cliques = [decode(i) for i in ids]
     return cliques, stats

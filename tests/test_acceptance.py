@@ -48,7 +48,7 @@ def test_criterion_1_hand_trace_fixtures():
         ("two-isolated", Graph(2), {2, 3}),
     ]
     for name, g, expected in fixtures:
-        ids, _ = find_cliques(encode(g).tuples)
+        ids, _ = find_cliques(encode(g))
         assert ids == frozenset(expected), name
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -95,7 +95,7 @@ def test_criterion_3_oracle_equality(tmp_path):
 def test_criterion_4_complete_graph_collapse():
     start = time.perf_counter()
     for n in (2, 4, 8, 16, 32, 64):
-        ids, stats = find_cliques(encode(gen_complete(n)).tuples)
+        ids, stats = find_cliques(encode(gen_complete(n)))
         assert len(ids) == 1
         assert stats.recursive_calls == 1, n
         assert stats.merges == n - 1, n

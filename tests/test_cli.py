@@ -114,6 +114,9 @@ def test_solve_stats_file(tmp_path, capsys):
     assert int(fields["recursive_calls"]) >= 1
     assert float(fields["wall_ms"]) >= 0.0
     assert "verified" not in fields
+    # P3's pivot 2 takes 1 and 3 into its subgraph as case-1 tuples
+    assert (fields["case1_count"], fields["case2_count"]) == ("2", "0")
+    assert list(fields)[-3:] == ["clique_count", "case1_count", "case2_count"]
 
 
 def test_solve_raw_keeps_nonmaximal(tmp_path, capsys):
@@ -215,7 +218,7 @@ def test_bench_empty_matrix(tmp_path):
     assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
     assert out.read_text() == (
         "family,n,p,seed,wall_ms,recursive_calls,merges,pivot_splits,"
-        "gcd_calls,max_weight_bits,clique_count,verified\n"
+        "gcd_calls,max_weight_bits,clique_count,verified,case1_count,case2_count\n"
     )
 
 

@@ -104,7 +104,7 @@ def test_decode_graph_detects_corruption(p3):
     tuples = list(eg.tuples)
     tuples[1] = WeightedVertex(3, 15)
     with pytest.raises(IntegrityError, match="asymmetric"):
-        decode_graph(EncodedGraph(tuple(tuples), eg.assignment))
+        decode_graph(EncodedGraph(tuple(tuples), eg.assignment, eg.neighbours))
 
 
 @given(graphs(max_n=12))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _reference import reference_find_cliques
 from _strategies import graphs
 import primeclique
 from primeclique import solver
@@ -159,7 +160,7 @@ def test_eliminate_case1_from_right():
 )
 def test_find_cliques_fixtures(edges, n, expected_ids):
     g = Graph.from_edges(n, edges)
-    ids, _stats = find_cliques(encode(g).tuples)
+    ids, _stats = find_cliques(encode(g))
     assert ids == frozenset(expected_ids)
     # independent enumerator agrees
     decoded = {frozenset(decode_clique(i, encode(g).assignment)) for i in ids}
@@ -167,14 +168,14 @@ def test_find_cliques_fixtures(edges, n, expected_ids):
 
 
 def test_find_cliques_empty_and_singleton():
-    assert find_cliques([])[0] == frozenset()
-    assert find_cliques([WV(2, 2)])[0] == frozenset({2})
+    assert find_cliques(encode(Graph(0)))[0] == frozenset()
+    assert find_cliques(encode(Graph(1)))[0] == frozenset({2})
 
 
 def test_complete_graph_collapses_in_one_call():
     for n in (2, 5, 9):
         g = gen_complete(n)
-        ids, stats = find_cliques(encode(g).tuples)
+        ids, stats = find_cliques(encode(g))
         assert len(ids) == 1
         assert stats.recursive_calls == 1
         assert stats.merges == n - 1
@@ -194,7 +195,7 @@ def raw_extras_graph() -> Graph:
 def test_raw_output_contains_nonmaximal_id():
     g = raw_extras_graph()
     eg = encode(g)
-    raw, _ = find_cliques(eg.tuples, SolverConfig(sanitize=False))
+    raw, _ = find_cliques(eg, SolverConfig(sanitize=False))
     assert isinstance(raw, list)
     assert 15 in raw  # {2, 3}: primes 3 * 5
     assert 30 in raw  # {1, 2, 3}: the superset that makes 15 non-maximal
@@ -235,8 +236,8 @@ def test_drop_contained_ids():
 
 def test_find_cliques_sanitize_matches_full_sanitize(g5):
     eg = encode(g5)
-    pruned, _ = find_cliques(eg.tuples)
-    raw, _ = find_cliques(eg.tuples, SolverConfig(sanitize=False))
+    pruned, _ = find_cliques(eg)
+    raw, _ = find_cliques(eg, SolverConfig(sanitize=False))
     assert pruned == sanitize(raw, eg)
 
 
@@ -282,7 +283,7 @@ def test_pivot_multiplication_preserves_cliques(g):
         return
     pivot = q[0]
     left, _, _ = partition_by_pivot(q[1:], pivot)
-    ids, _ = find_cliques(left, SolverConfig(sanitize=False))
+    ids, _ = reference_find_cliques(left, SolverConfig(sanitize=False))
     for clique_id in ids:
         members = decode_clique(clique_id * pivot.value, eg.assignment)
         assert is_clique(g, members)
@@ -315,7 +316,7 @@ def test_raw_output_has_no_duplicate_ids():
     # pivot-side ids carry the pivot prime, pivot-free ids never do
     for i in range(60):
         g = gen_gnp(1 + (i % 12), [0.3, 0.6, 0.9][i % 3], seed=800 + i)
-        raw, _ = find_cliques(encode(g).tuples, SolverConfig(sanitize=False))
+        raw, _ = find_cliques(encode(g), SolverConfig(sanitize=False))
         assert len(raw) == len(set(raw))
 
 
@@ -323,8 +324,8 @@ def test_raw_output_has_no_duplicate_ids():
 @settings(max_examples=200, deadline=None)
 def test_exact_emission_equals_sanitized_literal_output(g, order):
     eg = encode(g)
-    exact, exact_stats = find_cliques(eg.tuples, SolverConfig(pivot_order=order))
-    literal, literal_stats = find_cliques(eg.tuples, SolverConfig(pivot_order=order, sanitize=False))
+    exact, exact_stats = find_cliques(eg, SolverConfig(pivot_order=order))
+    literal, literal_stats = find_cliques(eg, SolverConfig(pivot_order=order, sanitize=False))
     assert isinstance(exact, frozenset)
     assert exact == sanitize(literal, eg)
     # the sanitized emission is a subsequence of this list, so it holds no
@@ -338,16 +339,43 @@ def test_exact_emission_equals_sanitized_literal_output(g, order):
     assert exact_stats == literal_stats
 
 
+def assert_matches_reference(g):
+    eg = encode(g)
+    for order in ("descending", "ascending"):
+        for sanitized in (True, False):
+            config = SolverConfig(pivot_order=order, sanitize=sanitized)
+            # ids (emission order included for literal lists) and SolverStats
+            assert find_cliques(eg, config) == reference_find_cliques(eg.tuples, config)
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=200, deadline=None)
+def test_find_cliques_takes_the_literal_steps(g):
+    assert_matches_reference(g)
+
+
+REFERENCE_GRAPHS = {
+    "star_1_199": lambda: Graph.from_edges(200, [(1, v) for v in range(2, 201)]),
+    "k30_pendants": lambda: complete_with_pendants(30),
+    "path600": lambda: gen_path(600),
+    "cycle600": lambda: gen_cycle(600),
+    "gnp600": lambda: gen_gnp(600, 2.5 / 600, seed=7),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_GRAPHS)
+def test_find_cliques_takes_the_literal_steps_on_larger_graphs(name):
+    assert_matches_reference(REFERENCE_GRAPHS[name]())
+
+
 @given(graphs(max_n=12))
 @settings(max_examples=200, deadline=None)
 def test_common_of_is_the_common_closed_neighbourhood(g):
     eg = encode(g)
-    with patch.object(solver, "merge_equal_weights", wraps=merge_equal_weights) as merge:
-        find_cliques(eg.tuples, SolverConfig(sanitize=False))
-    if g.n == 0:
-        return
-    common_of = merge.call_args_list[0].args[1]
-    assert all(call.args[1] is common_of for call in merge.call_args_list)
+    with patch.object(solver, "_enumerate", wraps=solver._enumerate) as enumerate_:
+        find_cliques(eg, SolverConfig(sanitize=False))
+    # the dict the loop fills: every input value and every merged product
+    common_of = enumerate_.call_args.args[4]
     adj = g.adjacency()
     for value, common in common_of.items():
         members = decode_clique(value, eg.assignment)
@@ -376,14 +404,17 @@ def test_sweep_matches_bron_kerbosch(family, n, p):
         assert set(cliques) == set(expected)
 
 
-# Larger graphs for the same check, about 40 s together in CPython 3.11
-# (gnp(80, .7) alone about 30 s): run with ``pytest -m slow``.
+# Larger graphs for the same check, about 45 s together in CPython 3.11
+# (gnp(80, .7) alone about 30 s, a path or cycle of 10^4 about 3 s):
+# run with ``pytest -m slow``.
 SLOW_SWEEP = [
     ("gnp", 80, 0.7),
     ("moon-moser", 7, None),
     ("gnp", 1000, 0.02),
     ("path", 3000, None),
     ("cycle", 3000, None),
+    ("path", 10_000, None),
+    ("cycle", 10_000, None),
 ]
 
 
@@ -428,7 +459,7 @@ def test_clique_decoder_agrees_with_checked_decode(g, extra):
     # graph's n), a squared prime (4), 0, 1 and a negative id
     assignment = PrimeAssignment.default(g.n + extra)
     eg = encode(g, assignment)
-    decode = solver._clique_decoder(g, eg)
+    decode = solver._clique_decoder(eg)
     primes = [t.value for t in eg.tuples]
     subset_ids = [
         math.prod(p for k, p in enumerate(primes) if mask >> k & 1) for mask in range(1 << g.n)
@@ -443,7 +474,7 @@ def test_clique_decoder_decodes_cliques_without_the_checked_decode(monkeypatch):
     # the fallback gives the same sets, so only this shows the descent works
     g = gen_gnp(40, 0.3, seed=5)
     eg = encode(g)
-    decode = solver._clique_decoder(g, eg)
+    decode = solver._clique_decoder(eg)
     monkeypatch.setattr(solver, "_decode_clique_checked", None)
     for clique in bron_kerbosch(g):
         assert decode(math.prod(eg.tuples[v - 1].value for v in clique)) == clique
@@ -523,9 +554,9 @@ LITERAL_GOLDEN = [
 )
 def test_literal_output_and_stats_are_pinned(name, order, ids, stats):
     eg = encode(GOLDEN_GRAPHS[name]())
-    literal, literal_stats = find_cliques(eg.tuples, SolverConfig(pivot_order=order, sanitize=False))
+    literal, literal_stats = find_cliques(eg, SolverConfig(pivot_order=order, sanitize=False))
     assert literal == ids
     assert literal_stats == SolverStats(*stats)
-    exact, exact_stats = find_cliques(eg.tuples, SolverConfig(pivot_order=order))
+    exact, exact_stats = find_cliques(eg, SolverConfig(pivot_order=order))
     assert exact == sanitize(ids, eg)
     assert exact_stats == literal_stats
