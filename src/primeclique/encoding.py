@@ -110,9 +110,8 @@ class EncodedGraph:
     """One WeightedVertex per vertex (index k-1 <-> vertex k), their n primes,
     and each vertex's open neighbourhood as a list of 0-based indices.
 
-    The lists let the solver and the decoder reach a vertex's neighbours
-    without a scan; ``decode_graph`` rebuilds the graph from the weights
-    alone.
+    The lists let the solver reach a vertex's neighbours without a scan;
+    ``decode_graph`` rebuilds the graph from the weights alone.
     """
 
     tuples: tuple[WeightedVertex, ...]

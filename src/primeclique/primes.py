@@ -6,17 +6,12 @@ intersection, and divisibility is the subset test. The encoding and the
 solver apply ``*``, ``//``, ``%`` and ``math.gcd`` to them directly; Python's
 arbitrary-precision integers keep that exact at any bit width. Storage is
 not what limits scale: a weight holds one prime per closed neighbor, so a
-10**4-vertex path has 51-bit weights. Time is: on sparse graphs each level
-of the enumeration re-sorts, merges and partitions the whole pivot-free
-remainder, so the work grows quadratically (a 10**4-vertex path takes about
-16-18 s in CPython 3.11 on a shared Intel Xeon core).
+10**4-vertex path has 51-bit weights.
 
 ``factor_over_basis`` trial-divides the whole basis, O(n) per value. The
-solver no longer decodes its ids with it: a gcd descent through a product
-tree of the graph's n primes reaches one leaf, whose prime must divide the
-id, and only that member's neighbours' primes are divided out. It falls
-back to ``factor_over_basis``, over the same n primes, for an id that does
-not decode to a clique that way, to name the fault.
+solver does not factor its ids: the enumeration records each id's members
+as it emits the id. Only an id whose recorded members fail their check is
+factored, over the graph's n primes, to name the fault.
 """
 
 import math

@@ -50,6 +50,13 @@ empty is emitted as a singleton clique, which the empty pivot side would
 otherwise drop. The nesting lives on the stack, not in interpreter
 frames, so no recursion limit applies.
 
+An id is the product of pivot values whose vertices the enumeration
+knows, so it emits the id with its member list and nothing factors it
+later. Each entry carries ``members``, the vertex indices of its
+``prefix``; the pivot side's is its parent's plus the pivot's.
+``members_of`` maps each merged value to all of its vertex indices; any
+other value is the one vertex its tuple names.
+
 The paper's literal (raw) output is a list of clique ids in emission
 order. It holds every maximal clique but may include non-maximal ones:
 pivot-free ids inside the pivot's closed neighborhood. A clique is
@@ -66,7 +73,7 @@ integrity check and prune for literal lists.
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from . import encoding
 from .encoding import EncodedGraph, Graph, WeightedVertex
@@ -186,13 +193,17 @@ def eliminate_case1_from_right(
 
 def find_cliques(
     eg: EncodedGraph, config: SolverConfig | None = None
-) -> tuple[frozenset[int] | list[int], SolverStats]:
-    """Enumerate clique ids for an encoded graph.
+) -> tuple[dict[int, tuple[int, ...]], SolverStats]:
+    """Enumerate clique ids for an encoded graph, each with its members.
 
-    Returns the maximal-clique ids as a frozenset when ``config.sanitize``
-    is on, or the paper's literal id list in emission order when it is off.
-    Both runs make the same steps, so their stats are equal. The ids, their
-    order and the stats are those of the literal step built from
+    Returns a dict from each clique id, in emission order, to its members'
+    vertex indices (0-based, as in ``eg.neighbours``). With
+    ``config.sanitize`` on, the ids are the maximal cliques; with it off,
+    they are the paper's literal output, non-maximal ids included. No id is
+    emitted twice: of two leaves of the recursion, the one on the pivot
+    side of their last split carries that pivot's prime and the other does
+    not. Both runs make the same steps, so their stats are equal. The ids,
+    their order and the stats are those of the literal step built from
     ``sort_by_weight``, ``merge_equal_weights``, ``partition_by_pivot`` and
     ``eliminate_case1_from_right``; a step here costs O(deg log n), not
     O(remainder).
@@ -203,18 +214,28 @@ def find_cliques(
     # divides or takes a gcd, elimination divides), so the input is widest.
     stats = SolverStats(max_weight_bits=max((t.weight.bit_length() for t in eg.tuples), default=0))
     common_of = {t.value: t.weight for t in eg.tuples}
-    ids = _enumerate(eg, config.pivot_order, stats, config.sanitize, common_of)
-    return (frozenset(ids) if config.sanitize else ids), stats
+    return _enumerate(eg, config.pivot_order, stats, config.sanitize, common_of), stats
 
 
 def _enumerate(
     eg: EncodedGraph, order: str, stats: SolverStats, maximal: bool, common_of: dict[int, int]
-) -> list[int]:
+) -> dict[int, tuple[int, ...]]:
     if order not in ("descending", "ascending"):
         raise ValueError(f"unknown order {order!r}")
     # Heap keys are sign * weight, so heap[0] holds the pivot's weight.
     sign = -1 if order == "descending" else 1
     neighbours = eg.neighbours
+    # All vertex indices of each merged value.
+    members_of: dict[int, tuple[int, ...]] = {}
+
+    def merge(other: int, kept: int, value: int, index: int) -> int:
+        """The product of two values, kept and index being one vertex of
+        each, with its common neighbourhood and members recorded."""
+        product = other * value
+        common_of[product] = math.gcd(common_of[other], common_of[value])
+        members_of[product] = members_of.get(other, (kept,)) + members_of.get(value, (index,))
+        stats.merges += 1
+        return product
 
     def entry(items: Iterable[tuple[int, int, int]]):
         """A fresh entry from (value, vertex index, weight) items, merging
@@ -223,19 +244,17 @@ def _enumerate(
         for value, index, weight in items:
             if weight in tuples:
                 other, kept = tuples[weight]
-                tuples[weight] = (other * value, kept)
-                common_of[other * value] = math.gcd(common_of[other], common_of[value])
-                stats.merges += 1
+                tuples[weight] = (merge(other, kept, value, index), kept)
             else:
                 tuples[weight] = (value, index)
         heap = [sign * weight for weight in tuples]
         heapq.heapify(heap)
         return tuples, {index: weight for weight, (_, index) in tuples.items()}, heap
 
-    emitted: list[int] = []
-    stack = [(entry((t.value, i, t.weight) for i, t in enumerate(eg.tuples)), 1, 0)]
+    emitted: dict[int, tuple[int, ...]] = {}
+    stack = [(entry((t.value, i, t.weight) for i, t in enumerate(eg.tuples)), 1, 0, ())]
     while stack:
-        (tuples, weight_of, heap), prefix, common = stack.pop()
+        (tuples, weight_of, heap), prefix, common, members = stack.pop()
         stats.recursive_calls += 1
         if not tuples:
             continue
@@ -245,6 +264,9 @@ def _enumerate(
         pivot_value, pivot_index = tuples.pop(pivot_weight)
         del weight_of[pivot_index]
         inner = math.gcd(common, common_of[pivot_value])
+        # The members of prefix * pivot_value: the pivot side's, and the
+        # clique's if the pivot is emitted here.
+        inner_members = members + members_of.get(pivot_value, (pivot_index,))
         if tuples:
             stats.pivot_splits += 1
             # Every vertex of a tuple adjacent to the pivot is an input
@@ -276,23 +298,21 @@ def _enumerate(
                 weight //= math.gcd(weight, case1)
                 if weight in tuples:
                     other, kept = tuples[weight]
-                    tuples[weight] = (other * value, kept)
-                    common_of[other * value] = math.gcd(common_of[other], common_of[value])
-                    stats.merges += 1
+                    tuples[weight] = (merge(other, kept, value, v), kept)
                 else:
                     tuples[weight] = (value, v)
                     weight_of[v] = weight
                     heapq.heappush(heap, sign * weight)
             # Pushed first, so popped after the whole pivot side.
-            stack.append(((tuples, weight_of, heap), prefix, common))
-            stack.append((entry(left), prefix * pivot_value, inner))
+            stack.append(((tuples, weight_of, heap), prefix, common, members))
+            stack.append((entry(left), prefix * pivot_value, inner, inner_members))
             if left:
                 continue
             # An isolated pivot forms its own maximal clique; the empty
             # pivot side would silently lose it.
         clique_id = prefix * pivot_value
         if not maximal or inner == clique_id:
-            emitted.append(clique_id)
+            emitted[clique_id] = inner_members
     return emitted
 
 
@@ -345,69 +365,39 @@ def _decode_clique_checked(clique_id: int, eg: EncodedGraph) -> frozenset[int]:
     return members
 
 
-def _clique_decoder(eg: EncodedGraph) -> Callable[[int], frozenset[int]]:
-    """A decoder for ids over ``eg`` that tests one member's neighbours only.
-
-    A gcd descent through a product tree of the vertex primes reaches one
-    leaf v in O(log n) gcds: v is a member if its prime divides the id.
-    Every other member of a clique is a neighbour of v, so only the primes
-    of ``eg.neighbours[v]`` are divided out, and the id is accepted iff it
-    divides every member's weight (which for v confines it to N[v]). Any
-    other id goes to ``_decode_clique_checked``, which raises the
-    IntegrityError; on every other id the two agree.
-    """
-    tuples = eg.tuples
-    neighbours = eg.neighbours
-    values = [t.value for t in tuples]
-    n = len(values)
-    # Heap order: leaves at tree[n:2n], tree[i] = tree[2i] * tree[2i + 1].
-    tree = [1] * n + values
-    for i in range(n - 1, 0, -1):
-        tree[i] = tree[2 * i] * tree[2 * i + 1]
-
-    def decode(clique_id: int) -> frozenset[int]:
-        if clique_id > 1 and n:  # the empty graph's tree has no leaf
-            i = 1
-            while i < n:
-                i *= 2
-                if math.gcd(clique_id, tree[i]) == 1:
-                    i += 1
-            v = i - n  # 0-based, as in the neighbour lists
-            if clique_id % values[v] == 0:
-                members = [v]
-                residue = clique_id // values[v]
-                for u in neighbours[v]:
-                    if residue == 1:
-                        break
-                    if residue % values[u] == 0:
-                        residue //= values[u]
-                        members.append(u)
-                if not any(tuples[u].weight % clique_id for u in members):
-                    return frozenset(u + 1 for u in members)
-        return _decode_clique_checked(clique_id, eg)
-
-    return decode
-
-
 def solve_graph(
     g: Graph,
     config: SolverConfig | None = None,
     assignment: encoding.PrimeAssignment | None = None,
 ) -> tuple[list[frozenset[int]], SolverStats]:
-    """Encode a graph, enumerate, and decode ids back to vertex sets.
+    """Encode a graph, enumerate, and return each clique's vertex set.
 
-    Sanitized mode returns each maximal clique once, in id order, as the
-    enumeration emits it; raw mode returns the literal ids in emission
-    order, non-maximal entries included. Each id is decoded once, from one
-    member's neighbourhood, and checked to be a clique (IntegrityError
-    otherwise).
+    Sanitized mode returns each maximal clique once, in id order; raw mode
+    returns the literal ids in emission order, non-maximal entries
+    included. Each id comes with the members the enumeration recorded, and
+    is accepted in O(k) for k members: their primes must multiply to the
+    id, and the id must divide each member's weight. An id whose record
+    fails that test can only come from a fault; it is decoded again by
+    ``_decode_clique_checked``, which raises IntegrityError unless the id
+    is a clique.
     """
     if config is None:
         config = SolverConfig()
     eg = encoding.encode(g, assignment)
     ids, stats = find_cliques(eg, config)
-    if config.sanitize:
-        ids = sorted(ids)
-    decode = _clique_decoder(eg)
-    cliques = [decode(i) for i in ids]
+    tuples = eg.tuples
+    cliques = []
+    for clique_id in sorted(ids) if config.sanitize else ids:
+        members = ids[clique_id]
+        rest = clique_id
+        for v in members:
+            t = tuples[v]
+            if t.weight % clique_id or rest % t.value:
+                break
+            rest //= t.value
+        else:
+            if rest == 1:  # the members' primes multiply to the id
+                cliques.append(frozenset([v + 1 for v in members]))
+                continue
+        cliques.append(_decode_clique_checked(clique_id, eg))
     return cliques, stats

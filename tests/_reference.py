@@ -4,7 +4,8 @@ Each popped entry sorts its whole tuple list, merges equal weights and
 partitions the rest around the first tuple with the solver's list helpers,
 so a step costs O(remainder). ``find_cliques`` takes the same steps through
 the pivot's neighbour list and must give the same ids, in the same order,
-with the same ``SolverStats``.
+with the same ``SolverStats``; it also records each id's members, which
+this reference leaves to be decoded.
 """
 
 import math
@@ -22,13 +23,12 @@ from primeclique.solver import (
 
 def reference_find_cliques(
     q: Sequence[WeightedVertex], config: SolverConfig | None = None
-) -> tuple[frozenset[int] | list[int], SolverStats]:
-    """``find_cliques`` on a tuple list, one sort, merge and partition per step."""
+) -> tuple[list[int], SolverStats]:
+    """``find_cliques``' ids in emission order, one sort, merge and partition per step."""
     if config is None:
         config = SolverConfig()
     stats = SolverStats(max_weight_bits=max((t.weight.bit_length() for t in q), default=0))
-    ids = _enumerate(q, config.pivot_order, stats, config.sanitize)
-    return (frozenset(ids) if config.sanitize else ids), stats
+    return _enumerate(q, config.pivot_order, stats, config.sanitize), stats
 
 
 def _enumerate(q: Sequence[WeightedVertex], order: str, stats: SolverStats, maximal: bool) -> list[int]:

@@ -149,7 +149,7 @@ def test_verify_detects_injected_fault(monkeypatch, capsys):
 
     def lossy(q, config=None):
         out, stats = real(q, config)
-        return sorted(out)[:-1], stats
+        return dict(sorted(out.items())[:-1]), stats
 
     monkeypatch.setattr(solver, "find_cliques", lossy)
     assert main(["verify", "--input", P3]) == 1
@@ -163,7 +163,7 @@ def test_solve_integrity_failure_exits_3(monkeypatch, capsys):
 
     def corrupted(q, config=None):
         out, stats = real(q, config)
-        return [*out, 10], stats  # {1, 3}: not adjacent in the path fixture
+        return {**out, 10: ()}, stats  # {1, 3}: not adjacent in the path fixture
 
     monkeypatch.setattr(solver, "find_cliques", corrupted)
     assert main(["solve", "--input", P3]) == 3

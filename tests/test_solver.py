@@ -161,15 +161,15 @@ def test_eliminate_case1_from_right():
 def test_find_cliques_fixtures(edges, n, expected_ids):
     g = Graph.from_edges(n, edges)
     ids, _stats = find_cliques(encode(g))
-    assert ids == frozenset(expected_ids)
+    assert frozenset(ids) == frozenset(expected_ids)
     # independent enumerator agrees
     decoded = {frozenset(decode_clique(i, encode(g).assignment)) for i in ids}
     assert decoded == set(bron_kerbosch(g))
 
 
 def test_find_cliques_empty_and_singleton():
-    assert find_cliques(encode(Graph(0)))[0] == frozenset()
-    assert find_cliques(encode(Graph(1)))[0] == frozenset({2})
+    assert find_cliques(encode(Graph(0)))[0] == {}
+    assert find_cliques(encode(Graph(1)))[0] == {2: (0,)}
 
 
 def test_complete_graph_collapses_in_one_call():
@@ -196,8 +196,7 @@ def test_raw_output_contains_nonmaximal_id():
     g = raw_extras_graph()
     eg = encode(g)
     raw, _ = find_cliques(eg, SolverConfig(sanitize=False))
-    assert isinstance(raw, list)
-    assert 15 in raw  # {2, 3}: primes 3 * 5
+    assert sorted(raw[15]) == [1, 2]  # {2, 3}: primes 3 * 5
     assert 30 in raw  # {1, 2, 3}: the superset that makes 15 non-maximal
     cleaned = sanitize(raw, eg)
     assert 15 not in cleaned
@@ -238,7 +237,7 @@ def test_find_cliques_sanitize_matches_full_sanitize(g5):
     eg = encode(g5)
     pruned, _ = find_cliques(eg)
     raw, _ = find_cliques(eg, SolverConfig(sanitize=False))
-    assert pruned == sanitize(raw, eg)
+    assert frozenset(pruned) == sanitize(raw, eg)
 
 
 def test_solve_graph_decodes_in_id_order(g5):
@@ -312,12 +311,15 @@ def test_pivot_orders_agree_on_corpus():
 
 
 def test_raw_output_has_no_duplicate_ids():
-    # not promised by the recursion itself, but observed everywhere;
-    # pivot-side ids carry the pivot prime, pivot-free ids never do
+    # pivot-side ids carry the pivot prime, pivot-free ids never do; the
+    # literal list has no duplicate for the dict of ids to collapse
+    config = SolverConfig(sanitize=False)
     for i in range(60):
         g = gen_gnp(1 + (i % 12), [0.3, 0.6, 0.9][i % 3], seed=800 + i)
-        raw, _ = find_cliques(encode(g), SolverConfig(sanitize=False))
-        assert len(raw) == len(set(raw))
+        eg = encode(g)
+        literal, _ = reference_find_cliques(eg.tuples, config)
+        assert len(literal) == len(set(literal))
+        assert list(find_cliques(eg, config)[0]) == literal
 
 
 @given(graphs(max_n=12), st.sampled_from(["descending", "ascending"]))
@@ -326,15 +328,15 @@ def test_exact_emission_equals_sanitized_literal_output(g, order):
     eg = encode(g)
     exact, exact_stats = find_cliques(eg, SolverConfig(pivot_order=order))
     literal, literal_stats = find_cliques(eg, SolverConfig(pivot_order=order, sanitize=False))
-    assert isinstance(exact, frozenset)
-    assert exact == sanitize(literal, eg)
-    # the sanitized emission is a subsequence of this list, so it holds no
-    # duplicates either
-    assert len(literal) == len(set(literal))
+    assert frozenset(exact) == sanitize(literal, eg)
+    # the sanitized emission is a subsequence of this list, with the same
+    # members for each id
+    assert list(exact) == [c for c in literal if c in exact]
+    assert all(exact[c] == literal[c] for c in exact)
     assert not any(b % a == 0 for a in exact for b in exact if a != b)
     # maximal exactly when the members' input weights have the id as gcd
     weights = {c: [eg.tuples[v - 1].weight for v in decode_clique(c, eg.assignment)] for c in literal}
-    assert exact == {c for c in literal if math.gcd(*weights[c]) == c}
+    assert exact.keys() == {c for c in literal if math.gcd(*weights[c]) == c}
     # the per-level filter drops ids, never calls
     assert exact_stats == literal_stats
 
@@ -344,8 +346,9 @@ def assert_matches_reference(g):
     for order in ("descending", "ascending"):
         for sanitized in (True, False):
             config = SolverConfig(pivot_order=order, sanitize=sanitized)
-            # ids (emission order included for literal lists) and SolverStats
-            assert find_cliques(eg, config) == reference_find_cliques(eg.tuples, config)
+            # ids in emission order and SolverStats
+            ids, stats = find_cliques(eg, config)
+            assert (list(ids), stats) == reference_find_cliques(eg.tuples, config)
 
 
 @given(graphs(max_n=12))
@@ -391,6 +394,10 @@ SWEEP = (
 )
 
 
+def _no_checked_decode(clique_id, eg):
+    raise AssertionError(f"id {clique_id} was not accepted from its recorded members")
+
+
 @pytest.mark.parametrize("family, n, p", SWEEP)
 def test_sweep_matches_bron_kerbosch(family, n, p):
     if family == "gnp":
@@ -398,14 +405,16 @@ def test_sweep_matches_bron_kerbosch(family, n, p):
     else:
         g = {"moon-moser": gen_moon_moser, "path": gen_path, "cycle": gen_cycle}[family](n)
     expected = bron_kerbosch(g)
-    for order in ("descending", "ascending"):
-        cliques, _ = solve_graph(g, SolverConfig(pivot_order=order))
-        assert len(cliques) == len(expected)
-        assert set(cliques) == set(expected)
+    # every id must be accepted from the members the enumeration recorded
+    with patch.object(solver, "_decode_clique_checked", _no_checked_decode):
+        for order in ("descending", "ascending"):
+            cliques, _ = solve_graph(g, SolverConfig(pivot_order=order))
+            assert len(cliques) == len(expected)
+            assert set(cliques) == set(expected)
 
 
-# Larger graphs for the same check, about 45 s together in CPython 3.11
-# (gnp(80, .7) alone about 30 s, a path or cycle of 10^4 about 3 s):
+# Larger graphs for the same check, about 35 s together in CPython 3.11
+# (gnp(80, .7) alone about 33 s, a path or cycle of 10^4 about 0.5 s):
 # run with ``pytest -m slow``.
 SLOW_SWEEP = [
     ("gnp", 80, 0.7),
@@ -435,49 +444,75 @@ def test_slow_sweep_matches_bron_kerbosch(family, n, p):
 )
 @pytest.mark.parametrize("sanitized", [True, False])
 def test_solve_graph_rejects_injected_ids(paw, monkeypatch, bad_id, message, sanitized):
+    # an id the enumeration never emitted comes with no members
     def injected(q, config=None):
         ids, stats = find_cliques(q, config)
-        return [*ids, bad_id], stats
+        return {**ids, bad_id: ()}, stats
 
     monkeypatch.setattr(solver, "find_cliques", injected)
     with pytest.raises(IntegrityError, match=message):
         solve_graph(paw, SolverConfig(sanitize=sanitized))
 
 
-def _decoded_or_error(decode, clique_id):
-    try:
-        return decode(clique_id)
-    except IntegrityError as exc:
-        return str(exc)
+@pytest.mark.parametrize(
+    "members",
+    [
+        (1,),  # vertex 2: 35 divides its weight 210, but its prime is 3
+        (2, 3),  # vertices 3 and 4 multiply to 35, which does not divide 30
+    ],
+)
+def test_solve_graph_rejects_a_record_that_is_no_clique(paw, monkeypatch, members):
+    def injected(q, config=None):
+        ids, stats = find_cliques(q, config)
+        return {**ids, 35: members}, stats
+
+    monkeypatch.setattr(solver, "find_cliques", injected)
+    with pytest.raises(IntegrityError, match="id 35 decodes to a non-clique: vertices 3 and 4"):
+        solve_graph(paw)
 
 
-@given(graphs(max_n=9), st.integers(0, 3))
-@settings(max_examples=60, deadline=None)
-def test_clique_decoder_agrees_with_checked_decode(g, extra):
-    # every vertex subset, cliques or not, and ids with a prime outside the
-    # basis (11 times the subset, or a prime of the assignment beyond the
-    # graph's n), a squared prime (4), 0, 1 and a negative id
-    assignment = PrimeAssignment.default(g.n + extra)
-    eg = encode(g, assignment)
-    decode = solver._clique_decoder(eg)
-    primes = [t.value for t in eg.tuples]
-    subset_ids = [
-        math.prod(p for k, p in enumerate(primes) if mask >> k & 1) for mask in range(1 << g.n)
-    ]
-    others = [4, 0, 1, -6, *assignment.primes[g.n :]]
-    for clique_id in [*subset_ids, *(11 * i for i in subset_ids), *others]:
-        expected = _decoded_or_error(lambda i: solver._decode_clique_checked(i, eg), clique_id)
-        assert _decoded_or_error(decode, clique_id) == expected
+@given(
+    graphs(max_n=9),
+    st.integers(0, 3),
+    st.sampled_from(["descending", "ascending"]),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_recorded_members_agree_with_checked_decode(g, extra, order, sanitized):
+    # an assignment longer than the graph is trimmed to its n primes
+    eg = encode(g, PrimeAssignment.default(g.n + extra))
+    ids, _ = find_cliques(eg, SolverConfig(pivot_order=order, sanitize=sanitized))
+    for clique_id, members in ids.items():
+        assert len(members) == len(set(members))
+        assert frozenset(v + 1 for v in members) == solver._decode_clique_checked(clique_id, eg)
 
 
-def test_clique_decoder_decodes_cliques_without_the_checked_decode(monkeypatch):
-    # the fallback gives the same sets, so only this shows the descent works
+def test_recorded_members_decode_cliques_without_the_checked_decode(monkeypatch):
+    # the fallback gives the same sets, so only this shows the records work
     g = gen_gnp(40, 0.3, seed=5)
-    eg = encode(g)
-    decode = solver._clique_decoder(eg)
     monkeypatch.setattr(solver, "_decode_clique_checked", None)
-    for clique in bron_kerbosch(g):
-        assert decode(math.prod(eg.tuples[v - 1].value for v in clique)) == clique
+    cliques, _ = solve_graph(g)
+    assert set(cliques) == set(bron_kerbosch(g))
+    assert len(cliques) == len(bron_kerbosch(g))
+
+
+def test_solve_graph_keeps_no_state_between_enumerations(monkeypatch):
+    # an enumeration of another graph between A's and its decode must not
+    # change what A's ids decode to
+    a = gen_gnp(30, 0.3, seed=11)
+    b = gen_gnp(30, 0.5, seed=12)
+    real = solver.find_cliques
+
+    def interleaved(q, config=None):
+        result = real(q, config)
+        real(encode(b), config)
+        return result
+
+    monkeypatch.setattr(solver, "find_cliques", interleaved)
+    monkeypatch.setattr(solver, "_decode_clique_checked", _no_checked_decode)
+    cliques, _ = solve_graph(a)
+    assert set(cliques) == set(bron_kerbosch(a))
+    assert len(cliques) == len(bron_kerbosch(a))
 
 
 def complete_with_pendants(k: int) -> Graph:
@@ -555,8 +590,8 @@ LITERAL_GOLDEN = [
 def test_literal_output_and_stats_are_pinned(name, order, ids, stats):
     eg = encode(GOLDEN_GRAPHS[name]())
     literal, literal_stats = find_cliques(eg, SolverConfig(pivot_order=order, sanitize=False))
-    assert literal == ids
+    assert list(literal) == ids
     assert literal_stats == SolverStats(*stats)
     exact, exact_stats = find_cliques(eg, SolverConfig(pivot_order=order))
-    assert exact == sanitize(ids, eg)
+    assert frozenset(exact) == sanitize(ids, eg)
     assert exact_stats == literal_stats
