@@ -11,7 +11,7 @@ import sys
 import time
 
 from . import graph_io, oracle, solver
-from .encoding import Graph, PrimeAssignment
+from .encoding import Graph
 from .errors import IntegrityError, ParseError
 
 # Family -> (generator, bench options besides n and verify); k stands in for n.
@@ -111,13 +111,14 @@ def _read_graph(path: str, fmt: str) -> Graph:
     return graph_io.parse_edge_list(text)
 
 
-def _run(g: Graph, raw: bool, assignment: PrimeAssignment | None = None):
-    """Solve a graph, returning (clique vertex sets, stats, wall-clock ms)."""
+def _run(g: Graph, raw: bool):
+    """Solve a graph under the default assignment, returning (dict clique id
+    -> vertex set, stats, wall-clock ms)."""
     config = solver.SolverConfig(sanitize=not raw)
     start = time.perf_counter()
-    cliques, stats = solver.solve_graph(g, config, assignment)
+    cliques, stats = solver.solve_graph(g, config)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return set(cliques), stats, wall_ms
+    return cliques, stats, wall_ms
 
 
 def _record(labels, stats: solver.SolverStats, wall_ms: float, clique_count: int) -> dict[str, str]:
@@ -130,10 +131,8 @@ def _record(labels, stats: solver.SolverStats, wall_ms: float, clique_count: int
 
 def _cmd_solve(args) -> int:
     g = _read_graph(args.input, args.format)
-    # Built only for --ids, and then shared with the encoder.
-    assignment = PrimeAssignment.default(g.n) if args.ids else None
-    cliques, stats, wall_ms = _run(g, args.raw, assignment)
-    sys.stdout.write(graph_io.write_cliques(cliques, assignment))
+    cliques, stats, wall_ms = _run(g, args.raw)
+    sys.stdout.write(graph_io.write_cliques(cliques if args.ids else cliques.values()))
     if args.stats:
         record = _record(("file", g.n, None, None), stats, wall_ms, len(cliques))
         with open(args.stats, "w") as fh:
@@ -144,7 +143,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     g = _read_graph(args.input, args.format)
     cliques, _stats, _wall = _run(g, args.raw)
-    report = oracle.diff(cliques, oracle.bron_kerbosch(g))
+    report = oracle.diff(cliques.values(), oracle.bron_kerbosch(g))
     print(f"matched={report.matched} missing={len(report.missing)} extra={len(report.extra)}")
     if report.equal:
         return 0
@@ -202,7 +201,8 @@ def _bench_row(family: str, n: int, p, seed, verify: bool, lineno: int) -> dict[
     cliques, stats, wall_ms = _run(g, raw=False)
     verified = ""
     if verify:
-        verified = "true" if oracle.diff(cliques, oracle.bron_kerbosch(g)).equal else "false"
+        report = oracle.diff(cliques.values(), oracle.bron_kerbosch(g))
+        verified = "true" if report.equal else "false"
     return {**_record((family, g.n, p, seed), stats, wall_ms, len(cliques)), "verified": verified}
 
 

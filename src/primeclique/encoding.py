@@ -84,8 +84,13 @@ class PrimeAssignment:
 
     @classmethod
     def default(cls, n: int) -> "PrimeAssignment":
-        assignment = object.__new__(cls)  # the sieve's primes need no checks
-        object.__setattr__(assignment, "primes", tuple(first_n_primes(n)))
+        return cls._unchecked(tuple(first_n_primes(n)))  # the sieve's primes
+
+    @classmethod
+    def _unchecked(cls, primes: tuple[int, ...]) -> "PrimeAssignment":
+        """An assignment over primes already known distinct and prime."""
+        assignment = object.__new__(cls)
+        object.__setattr__(assignment, "primes", primes)
         return assignment
 
     @property
@@ -131,7 +136,7 @@ def encode(g: Graph, assignment: PrimeAssignment | None = None) -> EncodedGraph:
             f"assignment covers {assignment.n} vertices, graph has {g.n}"
         )
     if assignment.n > g.n:  # ids then decode over the tuples' primes only
-        assignment = PrimeAssignment(assignment.primes[: g.n])
+        assignment = PrimeAssignment._unchecked(assignment.primes[: g.n])
     primes = assignment.primes
     weights = list(primes)
     neighbours: tuple[list[int], ...] = tuple([] for _ in primes)

@@ -11,11 +11,13 @@ Duplicate edges collapse silently in both formats; self-loops are parse
 errors. The clique text format is byte-exact: one clique per line, vertex
 ids ascending and space-separated, lines sorted lexicographically as
 strings, optional tab-separated decimal clique id, trailing newline.
+``write_cliques`` prints the ids it is handed and recomputes none.
 """
 
 import math
+from collections.abc import Iterable, Mapping
 
-from .encoding import Graph, PrimeAssignment
+from .encoding import Graph
 from .errors import ParseError
 
 __all__ = [
@@ -194,18 +196,16 @@ def gen_moon_moser(k: int) -> Graph:
     return Graph.from_edges(n, pairs)
 
 
-def write_cliques(cliques, assignment: PrimeAssignment | None = None) -> str:
+def write_cliques(cliques: Iterable[Iterable[int]] | Mapping[int, Iterable[int]]) -> str:
     """Render cliques in the byte-exact text format.
 
-    Given an assignment, each line gains a tab and the decimal product of
-    the clique's primes under it.
+    Given a mapping from clique id to vertex set, such as ``solve_graph``
+    returns, each line gains a tab and the decimal id; given a plain
+    iterable of vertex sets, lines carry no id.
     """
-    lines = []
-    for clique in cliques:
-        members = sorted(clique)
-        line = " ".join(map(str, members))
-        if assignment is not None:
-            line += f"\t{math.prod(assignment.primes[v - 1] for v in members)}"
-        lines.append(line + "\n")
+    if isinstance(cliques, Mapping):
+        lines = [f"{' '.join(map(str, sorted(c)))}\t{i}\n" for i, c in cliques.items()]
+    else:
+        lines = [" ".join(map(str, sorted(c))) + "\n" for c in cliques]
     # Tab and newline sort before space and digits: lines sort as members do.
     return "".join(sorted(lines))

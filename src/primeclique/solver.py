@@ -31,13 +31,16 @@ with lazy deletion, that yields the pivot (the largest weight for
 ``descending``, the smallest for ``ascending``; weights are unique after
 merging). A weight only ever loses primes, so it holds none but its
 vertices' own and their common input neighbours', and every vertex of a
-tuple adjacent to the pivot is an input neighbour of each pivot vertex:
-``EncodedGraph.neighbours`` of one of them gives those tuples, filtered by
-the same divisibility test. The pivot side is
-built fresh from them. The pivot-free side is the popped entry itself,
+tuple adjacent to the pivot is an input neighbour of each pivot vertex.
+So the divisibility test alone finds those tuples, whether it walks
+``EncodedGraph.neighbours`` of one pivot vertex or the entry's vertex
+index -> weight dict; a step walks the shorter of the two. The pivot side
+is built fresh from them. The pivot-free side is the popped entry itself,
 updated in place: the pivot and its neighbours leave, and each case-2
 copy comes back under its eliminated weight, merging if that weight is
-taken. A step costs O(deg log n) instead of O(remainder).
+taken. A step costs O(min(live tuples, deg) + adjacent tuples · log n)
+instead of O(remainder). An empty side is counted as an entry but never
+built or pushed.
 
 Where the paper recurses on both sides, each side becomes a stack entry
 with ``prefix``, the product of the pivot values whose induced subgraph the
@@ -205,8 +208,11 @@ def find_cliques(
     not. Both runs make the same steps, so their stats are equal. The ids,
     their order and the stats are those of the literal step built from
     ``sort_by_weight``, ``merge_equal_weights``, ``partition_by_pivot`` and
-    ``eliminate_case1_from_right``; a step here costs O(deg log n), not
-    O(remainder).
+    ``eliminate_case1_from_right``; a step here walks the shorter of the
+    entry's live tuples and the pivot's degree, not the whole remainder.
+    The members of an id form a set: their order in its tuple, and which
+    vertex stands for a merged tuple inside the enumeration, follow the
+    walk and are not part of the result.
     """
     if config is None:
         config = SolverConfig()
@@ -252,12 +258,13 @@ def _enumerate(
         return tuples, {index: weight for weight, (_, index) in tuples.items()}, heap
 
     emitted: dict[int, tuple[int, ...]] = {}
-    stack = [(entry((t.value, i, t.weight) for i, t in enumerate(eg.tuples)), 1, 0, ())]
+    # An entry is counted when pushed; an empty one is counted but never
+    # built or pushed, so every popped entry has a pivot.
+    stats.recursive_calls += 1
+    root = entry((t.value, i, t.weight) for i, t in enumerate(eg.tuples))
+    stack = [(root, 1, 0, ())] if eg.tuples else []
     while stack:
         (tuples, weight_of, heap), prefix, common, members = stack.pop()
-        stats.recursive_calls += 1
-        if not tuples:
-            continue
         pivot_weight = sign * heapq.heappop(heap)
         while pivot_weight not in tuples:  # a weight removed since it was pushed
             pivot_weight = sign * heapq.heappop(heap)
@@ -270,15 +277,21 @@ def _enumerate(
         if tuples:
             stats.pivot_splits += 1
             # Every vertex of a tuple adjacent to the pivot is an input
-            # neighbour of each pivot vertex; weight_of holds one vertex per
-            # tuple, so each live tuple is found once.
+            # neighbour of each pivot vertex, and weight_of holds one vertex
+            # per live tuple, so either sequence finds each adjacent tuple
+            # once under the same test: walk the shorter.
+            walk = neighbours[pivot_index]
+            if len(weight_of) < len(walk):
+                walk = weight_of
+            adjacent = [
+                (v, weight)
+                for v in walk
+                if (weight := weight_of.get(v)) is not None and weight % pivot_value == 0
+            ]
             left = []
             copies = []
             case1 = 1
-            for v in neighbours[pivot_index]:
-                weight = weight_of.get(v)
-                if weight is None or weight % pivot_value:
-                    continue
+            for v, weight in adjacent:
                 value = tuples.pop(weight)[0]
                 del weight_of[v]
                 reduced = weight // pivot_value
@@ -303,10 +316,13 @@ def _enumerate(
                     tuples[weight] = (value, v)
                     weight_of[v] = weight
                     heapq.heappush(heap, sign * weight)
-            # Pushed first, so popped after the whole pivot side.
-            stack.append(((tuples, weight_of, heap), prefix, common, members))
-            stack.append((entry(left), prefix * pivot_value, inner, inner_members))
+            # Both sides count as entries. The pivot-free side is pushed
+            # first, so popped after the whole pivot side.
+            stats.recursive_calls += 2
+            if tuples:
+                stack.append(((tuples, weight_of, heap), prefix, common, members))
             if left:
+                stack.append((entry(left), prefix * pivot_value, inner, inner_members))
                 continue
             # An isolated pivot forms its own maximal clique; the empty
             # pivot side would silently lose it.
@@ -369,24 +385,25 @@ def solve_graph(
     g: Graph,
     config: SolverConfig | None = None,
     assignment: encoding.PrimeAssignment | None = None,
-) -> tuple[list[frozenset[int]], SolverStats]:
-    """Encode a graph, enumerate, and return each clique's vertex set.
+) -> tuple[dict[int, frozenset[int]], SolverStats]:
+    """Encode a graph, enumerate, and map each clique id to its vertex set.
 
-    Sanitized mode returns each maximal clique once, in id order; raw mode
-    returns the literal ids in emission order, non-maximal entries
-    included. Each id comes with the members the enumeration recorded, and
-    is accepted in O(k) for k members: their primes must multiply to the
-    id, and the id must divide each member's weight. An id whose record
-    fails that test can only come from a fault; it is decoded again by
-    ``_decode_clique_checked``, which raises IntegrityError unless the id
-    is a clique.
+    An id is the product of its members' primes under the assignment (the
+    default one when none is given). Sanitized mode returns each maximal
+    clique once, in id order; raw mode returns the literal ids in emission
+    order, non-maximal entries included. Each id comes with the members
+    the enumeration recorded, and is accepted in O(k) for k members: their
+    primes must multiply to the id, and the id must divide each member's
+    weight. An id whose record fails that test can only come from a fault;
+    it is decoded again by ``_decode_clique_checked``, which raises
+    IntegrityError unless the id is a clique.
     """
     if config is None:
         config = SolverConfig()
     eg = encoding.encode(g, assignment)
     ids, stats = find_cliques(eg, config)
     tuples = eg.tuples
-    cliques = []
+    cliques = {}
     for clique_id in sorted(ids) if config.sanitize else ids:
         members = ids[clique_id]
         rest = clique_id
@@ -397,7 +414,7 @@ def solve_graph(
             rest //= t.value
         else:
             if rest == 1:  # the members' primes multiply to the id
-                cliques.append(frozenset([v + 1 for v in members]))
+                cliques[clique_id] = frozenset([v + 1 for v in members])
                 continue
-        cliques.append(_decode_clique_checked(clique_id, eg))
+        cliques[clique_id] = _decode_clique_checked(clique_id, eg)
     return cliques, stats

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from _strategies import graphs
+from primeclique import encoding
 from primeclique.encoding import (
     EncodedGraph,
     Graph,
@@ -71,6 +72,19 @@ def test_encode_isolated_vertex():
 def test_encode_requires_full_assignment(p3):
     with pytest.raises(ValueError, match="covers"):
         encode(p3, PrimeAssignment((2, 3)))
+
+
+def test_encode_trims_a_longer_assignment_without_rechecking_it(p3, monkeypatch):
+    assignment = PrimeAssignment((7, 3, 11, 5))
+    expected = encode(p3, PrimeAssignment((7, 3, 11)))
+
+    def no_check(p):
+        raise AssertionError(f"{p} checked again")
+
+    monkeypatch.setattr(encoding, "is_prime", no_check)
+    eg = encode(p3, assignment)
+    assert eg == expected
+    assert eg.assignment.primes == (7, 3, 11)
 
 
 def test_has_edge_p3(p3):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from _strategies import graphs
-from primeclique.encoding import Graph, PrimeAssignment
+from primeclique.encoding import Graph
 from primeclique.errors import ParseError
 from primeclique.graph_io import (
     SplitMix64,
@@ -146,18 +146,20 @@ def test_gen_moon_moser_structure():
 def test_write_cliques_plain():
     assert write_cliques([{2, 1}, {3, 2}]) == "1 2\n2 3\n"
     assert write_cliques([]) == ""
+    # a mapping's values without its keys print no ids
+    assert write_cliques({6: {1, 2}, 15: {2, 3}}.values()) == "1 2\n2 3\n"
 
 
 def test_write_cliques_with_ids():
-    assignment = PrimeAssignment((2, 3, 5))
-    out = write_cliques([{1, 2}, {2, 3}], assignment)
-    assert out == "1 2\t6\n2 3\t15\n"
+    # a mapping's keys are printed as the ids, whatever they are
+    assert write_cliques({15: {3, 2}, 6: {1, 2}}) == "1 2\t6\n2 3\t15\n"
+    assert write_cliques({7: {1, 2}}) == "1 2\t7\n"
+    assert write_cliques({}) == ""
 
 
 def test_write_cliques_with_ids_orders_a_prefix_first():
     # the tab after "1 2" sorts before the space of "1 2 3"
-    assignment = PrimeAssignment((2, 3, 5))
-    out = write_cliques([{1, 2, 3}, {1, 2}], assignment)
+    out = write_cliques({30: frozenset({1, 2, 3}), 6: frozenset({1, 2})})
     assert out == "1 2\t6\n1 2 3\t30\n"
 
 

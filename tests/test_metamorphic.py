@@ -16,8 +16,8 @@ from primeclique.solver import solve_graph
 
 def clique_set(g: Graph, assignment: PrimeAssignment | None = None) -> set[frozenset[int]]:
     cliques, _ = solve_graph(g, assignment=assignment)
-    assert len(cliques) == len(set(cliques))
-    return set(cliques)
+    assert len(cliques) == len(set(cliques.values()))
+    return set(cliques.values())
 
 
 @given(st.data())

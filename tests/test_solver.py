@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -243,14 +244,39 @@ def test_find_cliques_sanitize_matches_full_sanitize(g5):
 def test_solve_graph_decodes_in_id_order(g5):
     # ids 14 < 30 < 33 decode to {1,4}, {1,2,3}, {2,5}
     cliques, _ = solve_graph(g5)
-    assert cliques == [frozenset({1, 4}), frozenset({1, 2, 3}), frozenset({2, 5})]
+    assert list(cliques.items()) == [
+        (14, frozenset({1, 4})),
+        (30, frozenset({1, 2, 3})),
+        (33, frozenset({2, 5})),
+    ]
 
 
 def test_solve_graph_raw_keeps_emission_order():
     g = raw_extras_graph()
-    cliques, _ = solve_graph(g, SolverConfig(sanitize=False))
-    assert frozenset({2, 3}) in cliques
+    config = SolverConfig(sanitize=False)
+    cliques, _ = solve_graph(g, config)
+    assert frozenset({2, 3}) in cliques.values()
+    assert list(cliques) == list(find_cliques(encode(g), config)[0])
     assert len(cliques) == 6
+
+
+@pytest.mark.parametrize("sanitized", [True, False])
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_solve_graph_keys_are_the_ids_under_its_assignment(sanitized, shuffled):
+    g = gen_gnp(30, 0.4, seed=9)
+    primes = list(PrimeAssignment.default(g.n).primes)
+    if shuffled:
+        random.Random(3).shuffle(primes)
+    assignment = PrimeAssignment(tuple(primes))
+    config = SolverConfig(sanitize=sanitized)
+    cliques, _ = solve_graph(g, config, assignment)
+    for clique_id, members in cliques.items():
+        assert clique_id == math.prod(primes[v - 1] for v in members)
+    # sanitized keys ascend; raw keys come in emission order, which on this
+    # graph is not id order
+    ids, _ = find_cliques(encode(g, assignment), config)
+    assert list(cliques) == (sorted(ids) if sanitized else list(ids))
+    assert sanitized or list(ids) != sorted(ids)
 
 
 def test_solve_graph_deep_recursion():
@@ -292,8 +318,8 @@ def test_pivot_multiplication_preserves_cliques(g):
 @settings(max_examples=150, deadline=None)
 def test_sanitized_output_is_exactly_the_maximal_cliques(g):
     cliques, _ = solve_graph(g)
-    assert diff(cliques, bron_kerbosch(g)).equal
-    for c in cliques:
+    assert diff(cliques.values(), bron_kerbosch(g)).equal
+    for c in cliques.values():
         assert is_maximal(g, set(c))
 
 
@@ -303,7 +329,7 @@ def test_pivot_orders_agree_on_corpus():
         g = gen_gnp(1 + (i % 10), [0.2, 0.5, 0.8][i % 3], seed=500 + i)
         got_asc, stats_asc = solve_graph(g, asc)
         got_desc, _ = solve_graph(g)
-        assert set(got_asc) == set(got_desc)
+        assert got_asc == got_desc
         # ascending pivots make the contained-neighborhood case unreachable:
         # a divisor of the minimum weight would equal it, but weights are
         # distinct after merging
@@ -363,6 +389,9 @@ REFERENCE_GRAPHS = {
     "path600": lambda: gen_path(600),
     "cycle600": lambda: gen_cycle(600),
     "gnp600": lambda: gen_gnp(600, 2.5 / 600, seed=7),
+    # dense enough that most pivots walk the live tuples, not their neighbours
+    "gnp70_033": lambda: gen_gnp(70, 0.33, seed=7),
+    "moon_moser5": lambda: gen_moon_moser(5),
 }
 
 
@@ -410,11 +439,11 @@ def test_sweep_matches_bron_kerbosch(family, n, p):
         for order in ("descending", "ascending"):
             cliques, _ = solve_graph(g, SolverConfig(pivot_order=order))
             assert len(cliques) == len(expected)
-            assert set(cliques) == set(expected)
+            assert set(cliques.values()) == set(expected)
 
 
-# Larger graphs for the same check, about 35 s together in CPython 3.11
-# (gnp(80, .7) alone about 33 s, a path or cycle of 10^4 about 0.5 s):
+# Larger graphs for the same check, about 30 s together in CPython 3.11
+# (gnp(80, .7) alone about 27 s, a path or cycle of 10^4 about 0.4 s):
 # run with ``pytest -m slow``.
 SLOW_SWEEP = [
     ("gnp", 80, 0.7),
@@ -492,7 +521,7 @@ def test_recorded_members_decode_cliques_without_the_checked_decode(monkeypatch)
     g = gen_gnp(40, 0.3, seed=5)
     monkeypatch.setattr(solver, "_decode_clique_checked", None)
     cliques, _ = solve_graph(g)
-    assert set(cliques) == set(bron_kerbosch(g))
+    assert set(cliques.values()) == set(bron_kerbosch(g))
     assert len(cliques) == len(bron_kerbosch(g))
 
 
@@ -511,7 +540,7 @@ def test_solve_graph_keeps_no_state_between_enumerations(monkeypatch):
     monkeypatch.setattr(solver, "find_cliques", interleaved)
     monkeypatch.setattr(solver, "_decode_clique_checked", _no_checked_decode)
     cliques, _ = solve_graph(a)
-    assert set(cliques) == set(bron_kerbosch(a))
+    assert set(cliques.values()) == set(bron_kerbosch(a))
     assert len(cliques) == len(bron_kerbosch(a))
 
 
