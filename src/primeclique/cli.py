@@ -24,9 +24,10 @@ FAMILIES = {
 }
 
 # SolverStats fields reported by ``solve --stats`` and the bench CSV, in order.
-# The case split follows every older column, ``verified`` included.
+# The case split and the pruned count follow every older column, ``verified``
+# included.
 STATS_COLUMNS = ("recursive_calls", "merges", "pivot_splits", "gcd_calls", "max_weight_bits")
-CASE_COLUMNS = ("case1_count", "case2_count")
+CASE_COLUMNS = ("case1_count", "case2_count", "pruned")
 STATS_FIELDS = ("family", "n", "p", "seed", "wall_ms", *STATS_COLUMNS, "clique_count", *CASE_COLUMNS)
 CSV_FIELDS = [*STATS_FIELDS[: -len(CASE_COLUMNS)], "verified", *CASE_COLUMNS]
 

@@ -23,7 +23,8 @@ neighborhood lies inside the pivot's. ``sort_by_weight``,
 ``eliminate_case1_from_right`` are that literal step, one pass over the
 whole list each, and the reference ``find_cliques`` is tested against.
 
-``find_cliques`` takes the same steps without the passes. A stack entry
+``find_cliques`` takes the same steps without the passes (in raw mode;
+sanitized mode also prunes, as the last paragraph says). A stack entry
 holds its tuples indexed three ways: a dict weight -> (value, one vertex
 index), where a tuple whose weight is already present merges on insert; a
 dict vertex index -> weight for that one vertex; and a heap of weights,
@@ -71,6 +72,27 @@ pivot's entry, gives the common neighborhood of ``prefix * pivot.value``.
 Sanitized enumeration emits that id only when the two are equal, so it
 emits every maximal clique exactly once; ``sanitize`` stays the
 integrity check and prune for literal lists.
+
+Sanitized enumeration also prunes whole entries, with Bron and Kerbosch's
+excluded set (CACM 1973) cut down to one vertex, the guard, used the way
+Tomita, Tanaka and Takahashi (TCS 2006) use their pivot. The first split
+of an unguarded entry (the root, or any pivot side) makes the prime of one
+pivot vertex the guard of its pivot-free side, which keeps it for every
+later split. The guard is adjacent to the entry's whole prefix and is out
+of the entry, so a clique from the entry whose vertices are all adjacent
+to it is extended by it and is not maximal: every maximal clique the entry
+still holds has a tuple whose vertices are not all adjacent to the guard,
+a free tuple, ``common_of[value] % guard != 0``. The live weights in a
+guarded entry's heap are exactly its free tuples': those present when the
+guard is set are the pivot's non-neighbours, hence free, and a case-2
+copy is pushed only when it is free or turns a flagged tuple free by
+merging with it. A removed weight never comes back to name a flagged
+tuple, since it holds the prime of the pivot that removed it, which no
+later weight of the entry holds. So pivots are free, the pivot-free chain
+walks the guard's non-neighbours in weight order, and an entry whose heap
+runs dry holds no maximal clique and is dropped (``SolverStats.pruned``).
+Raw mode has no guard: it is the paper's literal step, and its output
+includes the non-maximal ids a guard would drop.
 """
 
 import heapq
@@ -110,7 +132,11 @@ class SolverStats:
     """Counters probing the enumeration's shape and the encoding's growth.
 
     ``recursive_calls`` counts stack entries, one per call of the paper's
-    recursion. ``gcd_calls`` is one per case-2 split.
+    recursion: the root and both sides of every split, empty or dropped
+    ones included, so it is always ``1 + 2 * pivot_splits``. ``gcd_calls``
+    is one per case-2 split. ``pruned`` counts the guarded entries dropped
+    because every tuple left in them was adjacent to their guard; it is 0
+    in raw mode.
     """
 
     recursive_calls: int = 0
@@ -120,6 +146,7 @@ class SolverStats:
     case2_count: int = 0
     gcd_calls: int = 0
     max_weight_bits: int = 0
+    pruned: int = 0
 
 
 def sort_by_weight(q: Sequence[WeightedVertex], order: str = "descending") -> TupleList:
@@ -205,14 +232,16 @@ def find_cliques(
     they are the paper's literal output, non-maximal ids included. No id is
     emitted twice: of two leaves of the recursion, the one on the pivot
     side of their last split carries that pivot's prime and the other does
-    not. Both runs make the same steps, so their stats are equal. The ids,
-    their order and the stats are those of the literal step built from
-    ``sort_by_weight``, ``merge_equal_weights``, ``partition_by_pivot`` and
-    ``eliminate_case1_from_right``; a step here walks the shorter of the
-    entry's live tuples and the pivot's degree, not the whole remainder.
-    The members of an id form a set: their order in its tuple, and which
-    vertex stands for a merged tuple inside the enumeration, follow the
-    walk and are not part of the result.
+    not. Raw, the ids, their order and the stats are those of the literal
+    step built from ``sort_by_weight``, ``merge_equal_weights``,
+    ``partition_by_pivot`` and ``eliminate_case1_from_right``; a step here
+    walks the shorter of the entry's live tuples and the pivot's degree,
+    not the whole remainder. Sanitized, the guard (module docstring) picks
+    other pivots and drops entries, so the run takes fewer steps on dense
+    graphs and its ids, the maximal ones among the raw ids, come in another
+    order with other stats. The members of an id form a set: their order in
+    its tuple, and which vertex stands for a merged tuple inside the
+    enumeration, follow the walk and are not part of the result.
     """
     if config is None:
         config = SolverConfig()
@@ -262,12 +291,19 @@ def _enumerate(
     # built or pushed, so every popped entry has a pivot.
     stats.recursive_calls += 1
     root = entry((t.value, i, t.weight) for i, t in enumerate(eg.tuples))
-    stack = [(root, 1, 0, ())] if eg.tuples else []
+    # The last field is the entry's guard (module docstring), 0 until set.
+    stack = [(root, 1, 0, (), 0)] if eg.tuples else []
     while stack:
-        (tuples, weight_of, heap), prefix, common, members = stack.pop()
-        pivot_weight = sign * heapq.heappop(heap)
-        while pivot_weight not in tuples:  # a weight removed since it was pushed
+        (tuples, weight_of, heap), prefix, common, members, guard = stack.pop()
+        while heap:
             pivot_weight = sign * heapq.heappop(heap)
+            if pivot_weight in tuples:  # else removed since it was pushed
+                break
+        else:
+            # Only tuples adjacent to the guard are left: it extends every
+            # clique the entry could emit.
+            stats.pruned += 1
+            continue
         pivot_value, pivot_index = tuples.pop(pivot_weight)
         del weight_of[pivot_index]
         inner = math.gcd(common, common_of[pivot_value])
@@ -306,23 +342,32 @@ def _enumerate(
             stats.gcd_calls += len(copies)
             # The popped entry becomes the pivot-free side: the pivot and its
             # neighbours are out, and each case-2 copy comes back under its
-            # weight with the case-1 values divided out.
+            # weight with the case-1 values divided out. Sanitized, the first
+            # split of an unguarded entry makes the pivot's vertex its guard,
+            # and its heap then holds only the tuples free of it.
+            if maximal and not guard:
+                guard = eg.tuples[pivot_index].value
             for value, v, weight in copies:
                 weight //= math.gcd(weight, case1)
+                free = not guard or common_of[value] % guard
                 if weight in tuples:
                     other, kept = tuples[weight]
                     tuples[weight] = (merge(other, kept, value, v), kept)
+                    # A free tuple is in the heap already; a flagged one
+                    # goes in when a free copy joins it.
+                    free = guard and free and not common_of[other] % guard
                 else:
                     tuples[weight] = (value, v)
                     weight_of[v] = weight
+                if free:
                     heapq.heappush(heap, sign * weight)
             # Both sides count as entries. The pivot-free side is pushed
             # first, so popped after the whole pivot side.
             stats.recursive_calls += 2
             if tuples:
-                stack.append(((tuples, weight_of, heap), prefix, common, members))
+                stack.append(((tuples, weight_of, heap), prefix, common, members, guard))
             if left:
-                stack.append((entry(left), prefix * pivot_value, inner, inner_members))
+                stack.append((entry(left), prefix * pivot_value, inner, inner_members, 0))
                 continue
             # An isolated pivot forms its own maximal clique; the empty
             # pivot side would silently lose it.

@@ -2,18 +2,17 @@
 
 Each popped entry sorts its whole tuple list, merges equal weights and
 partitions the rest around the first tuple with the solver's list helpers,
-so a step costs O(remainder). ``find_cliques`` takes the same steps through
-the pivot's neighbour list and must give the same ids, in the same order,
-with the same ``SolverStats``; it also records each id's members, which
-this reference leaves to be decoded.
+so a step costs O(remainder). ``find_cliques`` in raw mode takes the same
+steps through the pivot's neighbour list and must give the same ids, in the
+same order, with the same ``SolverStats``; it also records each id's
+members, which this reference leaves to be decoded. Sanitized mode prunes
+the recursion, so it is checked against ``sanitize`` of this output instead.
 """
 
-import math
 from typing import Sequence
 
 from primeclique.encoding import WeightedVertex
 from primeclique.solver import (
-    SolverConfig,
     SolverStats,
     merge_equal_weights,
     partition_by_pivot,
@@ -22,21 +21,15 @@ from primeclique.solver import (
 
 
 def reference_find_cliques(
-    q: Sequence[WeightedVertex], config: SolverConfig | None = None
+    q: Sequence[WeightedVertex], order: str = "descending"
 ) -> tuple[list[int], SolverStats]:
-    """``find_cliques``' ids in emission order, one sort, merge and partition per step."""
-    if config is None:
-        config = SolverConfig()
+    """Raw ``find_cliques``' ids in emission order, one sort, merge and partition per step."""
     stats = SolverStats(max_weight_bits=max((t.weight.bit_length() for t in q), default=0))
-    return _enumerate(q, config.pivot_order, stats, config.sanitize), stats
-
-
-def _enumerate(q: Sequence[WeightedVertex], order: str, stats: SolverStats, maximal: bool) -> list[int]:
     emitted: list[int] = []
     common_of = {t.value: t.weight for t in q}
-    stack = [(q, 1, 0)]
+    stack = [(q, 1)]
     while stack:
-        q, prefix, common = stack.pop()
+        q, prefix = stack.pop()
         stats.recursive_calls += 1
         q = sort_by_weight(q, order)
         if not q:
@@ -45,7 +38,6 @@ def _enumerate(q: Sequence[WeightedVertex], order: str, stats: SolverStats, maxi
         q = merge_equal_weights(q, common_of)
         stats.merges += n - len(q)
         pivot = q[0]
-        inner = math.gcd(common, common_of[pivot.value])
         if len(q) > 1:
             stats.pivot_splits += 1
             left, right, pivot_bound = partition_by_pivot(q[1:], pivot)
@@ -54,13 +46,11 @@ def _enumerate(q: Sequence[WeightedVertex], order: str, stats: SolverStats, maxi
             stats.case2_count += case2
             stats.gcd_calls += case2
             # Pushed first, so popped after the whole pivot side.
-            stack.append((right, prefix, common))
-            stack.append((left, prefix * pivot.value, inner))
+            stack.append((right, prefix))
+            stack.append((left, prefix * pivot.value))
             if left:
                 continue
             # An isolated pivot forms its own maximal clique; the empty
             # pivot side would silently lose it.
-        clique_id = prefix * pivot.value
-        if not maximal or inner == clique_id:
-            emitted.append(clique_id)
-    return emitted
+        emitted.append(prefix * pivot.value)
+    return emitted, stats

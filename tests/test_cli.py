@@ -116,7 +116,9 @@ def test_solve_stats_file(tmp_path, capsys):
     assert "verified" not in fields
     # P3's pivot 2 takes 1 and 3 into its subgraph as case-1 tuples
     assert (fields["case1_count"], fields["case2_count"]) == ("2", "0")
-    assert list(fields)[-3:] == ["clique_count", "case1_count", "case2_count"]
+    # no entry of P3 is left with only neighbours of its guard
+    assert fields["pruned"] == "0"
+    assert list(fields)[-4:] == ["clique_count", "case1_count", "case2_count", "pruned"]
 
 
 def test_solve_raw_keeps_nonmaximal(tmp_path, capsys):
@@ -125,10 +127,14 @@ def test_solve_raw_keeps_nonmaximal(tmp_path, capsys):
 
     path = tmp_path / "extras.dimacs"
     path.write_text(write_dimacs(raw_extras_graph()))
-    assert main(["solve", "--input", str(path), "--raw"]) == 0
+    stats_path = tmp_path / "stats.txt"
+    assert main(["solve", "--input", str(path), "--raw", "--stats", str(stats_path)]) == 0
     assert "2 3" in capsys.readouterr().out.splitlines()
-    assert main(["solve", "--input", str(path)]) == 0
+    assert "pruned=0\n" in stats_path.read_text()
+    # sanitized, the guard of vertex 1 drops the entry that held {2, 3}
+    assert main(["solve", "--input", str(path), "--stats", str(stats_path)]) == 0
     assert "2 3" not in capsys.readouterr().out.splitlines()
+    assert "pruned=1\n" in stats_path.read_text()
 
 
 def test_verify_p3(capsys):
@@ -218,7 +224,7 @@ def test_bench_empty_matrix(tmp_path):
     assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
     assert out.read_text() == (
         "family,n,p,seed,wall_ms,recursive_calls,merges,pivot_splits,"
-        "gcd_calls,max_weight_bits,clique_count,verified,case1_count,case2_count\n"
+        "gcd_calls,max_weight_bits,clique_count,verified,case1_count,case2_count,pruned\n"
     )
 
 

@@ -308,7 +308,7 @@ def test_pivot_multiplication_preserves_cliques(g):
         return
     pivot = q[0]
     left, _, _ = partition_by_pivot(q[1:], pivot)
-    ids, _ = reference_find_cliques(left, SolverConfig(sanitize=False))
+    ids, _ = reference_find_cliques(left)
     for clique_id in ids:
         members = decode_clique(clique_id * pivot.value, eg.assignment)
         assert is_clique(g, members)
@@ -327,12 +327,15 @@ def test_pivot_orders_agree_on_corpus():
     asc = SolverConfig(pivot_order="ascending")
     for i in range(60):
         g = gen_gnp(1 + (i % 10), [0.2, 0.5, 0.8][i % 3], seed=500 + i)
-        got_asc, stats_asc = solve_graph(g, asc)
+        got_asc, _ = solve_graph(g, asc)
         got_desc, _ = solve_graph(g)
         assert got_asc == got_desc
-        # ascending pivots make the contained-neighborhood case unreachable:
-        # a divisor of the minimum weight would equal it, but weights are
-        # distinct after merging
+        # raw ascending pivots make the contained-neighborhood case
+        # unreachable: a divisor of the minimum weight would equal it, but
+        # weights are distinct after merging. A guarded sanitized entry
+        # pivots on the lightest tuple not adjacent to its guard, which need
+        # not be the lightest one.
+        _, stats_asc = find_cliques(encode(g), SolverConfig(pivot_order="ascending", sanitize=False))
         assert stats_asc.case1_count == 0
 
 
@@ -343,7 +346,7 @@ def test_raw_output_has_no_duplicate_ids():
     for i in range(60):
         g = gen_gnp(1 + (i % 12), [0.3, 0.6, 0.9][i % 3], seed=800 + i)
         eg = encode(g)
-        literal, _ = reference_find_cliques(eg.tuples, config)
+        literal, _ = reference_find_cliques(eg.tuples)
         assert len(literal) == len(set(literal))
         assert list(find_cliques(eg, config)[0]) == literal
 
@@ -352,29 +355,44 @@ def test_raw_output_has_no_duplicate_ids():
 @settings(max_examples=200, deadline=None)
 def test_exact_emission_equals_sanitized_literal_output(g, order):
     eg = encode(g)
-    exact, exact_stats = find_cliques(eg, SolverConfig(pivot_order=order))
-    literal, literal_stats = find_cliques(eg, SolverConfig(pivot_order=order, sanitize=False))
+    exact, _ = find_cliques(eg, SolverConfig(pivot_order=order))
+    literal, _ = find_cliques(eg, SolverConfig(pivot_order=order, sanitize=False))
     assert frozenset(exact) == sanitize(literal, eg)
-    # the sanitized emission is a subsequence of this list, with the same
-    # members for each id
-    assert list(exact) == [c for c in literal if c in exact]
-    assert all(exact[c] == literal[c] for c in exact)
+    # the guard changes the pivots and their order, not the members
+    assert all(set(exact[c]) == set(literal[c]) for c in exact)
     assert not any(b % a == 0 for a in exact for b in exact if a != b)
     # maximal exactly when the members' input weights have the id as gcd
     weights = {c: [eg.tuples[v - 1].weight for v in decode_clique(c, eg.assignment)] for c in literal}
     assert exact.keys() == {c for c in literal if math.gcd(*weights[c]) == c}
-    # the per-level filter drops ids, never calls
-    assert exact_stats == literal_stats
+
+
+@pytest.mark.parametrize("order", ["descending", "ascending"])
+def test_guard_drops_entries_it_extends(order):
+    # dense enough that guarded entries run out of tuples not adjacent to
+    # their guard (raw_extras descending drops one too, pinned below)
+    g = gen_gnp(40, 0.6, seed=1040)
+    cliques, stats = solve_graph(g, SolverConfig(pivot_order=order))
+    _, raw_stats = find_cliques(encode(g), SolverConfig(pivot_order=order, sanitize=False))
+    expected = bron_kerbosch(g)
+    assert set(cliques.values()) == set(expected)
+    assert len(cliques) == len(expected)
+    assert stats.pruned > 0
+    assert raw_stats.pruned == 0
+    # each split counts both sides, dropped ones included, and the root
+    for s in (stats, raw_stats):
+        assert s.recursive_calls == 1 + 2 * s.pivot_splits
 
 
 def assert_matches_reference(g):
     eg = encode(g)
     for order in ("descending", "ascending"):
-        for sanitized in (True, False):
-            config = SolverConfig(pivot_order=order, sanitize=sanitized)
-            # ids in emission order and SolverStats
-            ids, stats = find_cliques(eg, config)
-            assert (list(ids), stats) == reference_find_cliques(eg.tuples, config)
+        # raw: ids in emission order and SolverStats
+        raw, stats = find_cliques(eg, SolverConfig(pivot_order=order, sanitize=False))
+        assert (list(raw), stats) == reference_find_cliques(eg.tuples, order)
+        # sanitized: the maximal ids among them, each with the same members
+        exact, _ = find_cliques(eg, SolverConfig(pivot_order=order))
+        assert frozenset(exact) == sanitize(raw, eg)
+        assert all(set(exact[c]) == set(raw[c]) for c in exact)
 
 
 @given(graphs(max_n=12))
@@ -442,11 +460,13 @@ def test_sweep_matches_bron_kerbosch(family, n, p):
             assert set(cliques.values()) == set(expected)
 
 
-# Larger graphs for the same check, about 30 s together in CPython 3.11
-# (gnp(80, .7) alone about 27 s, a path or cycle of 10^4 about 0.4 s):
-# run with ``pytest -m slow``.
+# Larger graphs for the same check, about 25 s together in CPython 3.11
+# (gnp(80, .7) about 12 s and gnp(100, .6) about 9 s, each with both pivot
+# orders and Bron–Kerbosch; a path or cycle of 10^4 about 0.4 s): run with
+# ``pytest -m slow``.
 SLOW_SWEEP = [
     ("gnp", 80, 0.7),
+    ("gnp", 100, 0.6),
     ("moon-moser", 7, None),
     ("gnp", 1000, 0.02),
     ("path", 3000, None),
@@ -596,31 +616,36 @@ GOLDEN_GRAPHS = {
 
 # Literal id lists in emission order and SolverStats fields in declaration
 # order (recursive_calls, merges, pivot_splits, case1_count, case2_count,
-# gcd_calls, max_weight_bits), as the recursive solver produced them.
+# gcd_calls, max_weight_bits), as the recursive solver produced them, then
+# the sanitized run's SolverStats with ``pruned`` last. The guard changes
+# the sanitized steps: on raw_extras descending it drops the entry that
+# would emit 15, {2, 3}, which vertex 1 extends.
 LITERAL_GOLDEN = [
-    ("raw_extras", "descending", [34, 30, 26, 55, 15, 21], (11, 2, 5, 3, 3, 3, 13)),
-    ("raw_extras", "ascending", [21, 26, 30, 34, 10, 55], (11, 2, 5, 0, 6, 6, 13)),
-    ("g5", "descending", [33, 30, 14], (5, 2, 2, 2, 1, 1, 9)),
-    ("g5", "ascending", [14, 30, 33], (5, 2, 2, 0, 2, 2, 9)),
-    ("path8", "descending", [323, 221, 143, 77, 35, 15, 6], (13, 1, 6, 3, 3, 3, 13)),
-    ("path8", "ascending", [6, 15, 35, 77, 143, 221, 323], (13, 1, 6, 0, 6, 6, 13)),
-    ("moon_moser2", "descending", [65, 55, 35, 39, 33, 21, 26, 22, 14], (19, 0, 9, 3, 6, 6, 13)),
-    ("moon_moser2", "ascending", [14, 21, 35, 22, 26, 33, 55, 39, 65], (17, 1, 8, 0, 8, 8, 13)),
-    ("k4_pendants", "descending", [210, 133, 85, 30, 39, 6, 22], (13, 4, 6, 3, 6, 6, 12)),
-    ("k4_pendants", "ascending", [22, 39, 85, 133, 210], (9, 3, 4, 0, 4, 4, 12)),
-    ("gnp12", "descending", [144739, 3689, 19499, 9269, 14007, 1311, 3335, 1495, 7733, 6919, 1254, 286, 609, 119, 174], (33, 7, 16, 13, 19, 19, 31)),
-    ("gnp12", "ascending", [1495, 3335, 286, 9269, 174, 1254, 627, 6919, 7733, 703, 1311, 14007, 19499, 3689, 144739], (29, 12, 14, 0, 27, 27, 31)),
+    ("raw_extras", "descending", [34, 30, 26, 55, 15, 21], (11, 2, 5, 3, 3, 3, 13), (11, 2, 5, 2, 4, 4, 13, 1)),
+    ("raw_extras", "ascending", [21, 26, 30, 34, 10, 55], (11, 2, 5, 0, 6, 6, 13), (9, 2, 4, 0, 4, 4, 13, 0)),
+    ("g5", "descending", [33, 30, 14], (5, 2, 2, 2, 1, 1, 9), (5, 2, 2, 2, 1, 1, 9, 0)),
+    ("g5", "ascending", [14, 30, 33], (5, 2, 2, 0, 2, 2, 9), (5, 2, 2, 0, 2, 2, 9, 0)),
+    ("path8", "descending", [323, 221, 143, 77, 35, 15, 6], (13, 1, 6, 3, 3, 3, 13), (13, 1, 6, 3, 3, 3, 13, 0)),
+    ("path8", "ascending", [6, 15, 35, 77, 143, 221, 323], (13, 1, 6, 0, 6, 6, 13), (13, 1, 6, 1, 5, 5, 13, 0)),
+    ("moon_moser2", "descending", [65, 55, 35, 39, 33, 21, 26, 22, 14], (19, 0, 9, 3, 6, 6, 13), (19, 0, 9, 3, 6, 6, 13, 0)),
+    ("moon_moser2", "ascending", [14, 21, 35, 22, 26, 33, 55, 39, 65], (17, 1, 8, 0, 8, 8, 13), (19, 0, 9, 3, 6, 6, 13, 0)),
+    ("k4_pendants", "descending", [210, 133, 85, 30, 39, 6, 22], (13, 4, 6, 3, 6, 6, 12), (11, 4, 5, 1, 6, 6, 12, 1)),
+    ("k4_pendants", "ascending", [22, 39, 85, 133, 210], (9, 3, 4, 0, 4, 4, 12), (9, 3, 4, 0, 4, 4, 12, 0)),
+    ("gnp12", "descending", [144739, 3689, 19499, 9269, 14007, 1311, 3335, 1495, 7733, 6919, 1254, 286, 609, 119, 174], (33, 7, 16, 13, 19, 19, 31), (39, 5, 19, 11, 25, 25, 31, 1)),
+    ("gnp12", "ascending", [1495, 3335, 286, 9269, 174, 1254, 627, 6919, 7733, 703, 1311, 14007, 19499, 3689, 144739], (29, 12, 14, 0, 27, 27, 31), (31, 12, 15, 0, 29, 29, 31, 0)),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, order, ids, stats", LITERAL_GOLDEN, ids=[f"{name}-{order}" for name, order, *_ in LITERAL_GOLDEN]
+    "name, order, ids, stats, sanitized",
+    LITERAL_GOLDEN,
+    ids=[f"{name}-{order}" for name, order, *_ in LITERAL_GOLDEN],
 )
-def test_literal_output_and_stats_are_pinned(name, order, ids, stats):
+def test_literal_output_and_stats_are_pinned(name, order, ids, stats, sanitized):
     eg = encode(GOLDEN_GRAPHS[name]())
     literal, literal_stats = find_cliques(eg, SolverConfig(pivot_order=order, sanitize=False))
     assert list(literal) == ids
-    assert literal_stats == SolverStats(*stats)
+    assert literal_stats == SolverStats(*stats)  # pruned is 0
     exact, exact_stats = find_cliques(eg, SolverConfig(pivot_order=order))
     assert frozenset(exact) == sanitize(ids, eg)
-    assert exact_stats == literal_stats
+    assert exact_stats == SolverStats(*sanitized)
