@@ -16,6 +16,7 @@ strings, optional tab-separated decimal clique id, trailing newline.
 
 import math
 from collections.abc import Iterable, Mapping
+from operator import itemgetter
 
 from .encoding import Graph
 from .errors import ParseError
@@ -201,11 +202,27 @@ def write_cliques(cliques: Iterable[Iterable[int]] | Mapping[int, Iterable[int]]
 
     Given a mapping from clique id to vertex set, such as ``solve_graph``
     returns, each line gains a tab and the decimal id; given a plain
-    iterable of vertex sets, lines carry no id.
+    iterable of vertex sets, lines carry no id. Each clique is read and
+    sorted once, so any iterable of members will do. Members are named from
+    a table of decimal strings built once per call, not by one ``str`` call
+    per member per line.
     """
-    if isinstance(cliques, Mapping):
-        lines = [f"{' '.join(map(str, sorted(c)))}\t{i}\n" for i, c in cliques.items()]
+    with_ids = isinstance(cliques, Mapping)
+    rows = [sorted(c) for c in (cliques.values() if with_ids else cliques)]
+    # A table over 0..top is used when it holds no more names than the lines
+    # print, so that building it costs no more than naming each member (true
+    # of solve_graph's output, where each vertex is in some clique), and when
+    # no member is negative, which would index it from the end.
+    filled = [row for row in rows if row]
+    top = max(map(itemgetter(-1), filled), default=0)
+    if min(map(itemgetter(0), filled), default=0) >= 0 and top < sum(map(len, filled)):
+        name = list(map(str, range(top + 1))).__getitem__
     else:
-        lines = [" ".join(map(str, sorted(c))) + "\n" for c in cliques]
+        name = str
+    if with_ids:
+        lines = [f"{' '.join(map(name, row))}\t{i}\n" for row, i in zip(rows, cliques)]
+    else:
+        lines = [" ".join(map(name, row)) + "\n" for row in rows]
     # Tab and newline sort before space and digits: lines sort as members do.
-    return "".join(sorted(lines))
+    lines.sort()
+    return "".join(lines)

@@ -36,23 +36,25 @@ tuple adjacent to the pivot is an input neighbour of each pivot vertex.
 So the divisibility test alone finds those tuples, whether it walks
 ``EncodedGraph.neighbours`` of one pivot vertex or the entry's vertex
 index -> weight dict; a step walks the shorter of the two. The pivot side
-is built fresh from them. The pivot-free side is the popped entry itself,
-updated in place: the pivot and its neighbours leave, and each case-2
-copy comes back under its eliminated weight, merging if that weight is
-taken. A step costs O(min(live tuples, deg) + adjacent tuples · log n)
-instead of O(remainder). An empty side is counted as an entry but never
-built or pushed.
+is built fresh, its two dicts and its heap filled in the same loop that
+takes each adjacent tuple out of the entry and classifies it. The
+pivot-free side is the popped entry itself, updated in place: the pivot
+and its neighbours leave, and each case-2 copy comes back under its
+eliminated weight, merging if that weight is taken. A step costs
+O(min(live tuples, deg) + adjacent tuples · log n) instead of
+O(remainder). An empty side is counted as an entry but never built.
 
-Where the paper recurses on both sides, each side becomes a stack entry
-with ``prefix``, the product of the pivot values whose induced subgraph the
+Where the paper recurses on both sides, each side becomes an entry with
+``prefix``, the product of the pivot values whose induced subgraph the
 entry lies in (an id found in the entry is emitted times it), and
 ``common``, the gcd of those vertices' input weights, their common closed
-neighborhood (0, the gcd identity, at the root). The pivot-free side is
-pushed first, so the pivot side is finished before it and ids come out
-in the order of the paper's recursion. A pivot whose induced subgraph is
-empty is emitted as a singleton clique, which the empty pivot side would
-otherwise drop. The nesting lives on the stack, not in interpreter
-frames, so no recursion limit applies.
+neighborhood (0, the gcd identity, at the root). Only the pivot-free side
+is pushed on the explicit stack. The pivot side is processed next, without
+a push and a pop, so it is finished before its pivot-free sibling is
+popped and ids come out in the order of the paper's recursion. A pivot
+whose induced subgraph is empty is emitted as a singleton clique, which
+the empty pivot side would otherwise drop. The nesting lives on the stack,
+not in interpreter frames, so no recursion limit applies.
 
 An id is the product of pivot values whose vertices the enumeration
 knows, so it emits the id with its member list and nothing factors it
@@ -262,118 +264,142 @@ def _enumerate(
     neighbours = eg.neighbours
     # All vertex indices of each merged value.
     members_of: dict[int, tuple[int, ...]] = {}
+    # The counters live in locals and reach stats once, at the end.
+    merges = splits = adjacent_count = case2 = pruned = 0
 
     def merge(other: int, kept: int, value: int, index: int) -> int:
         """The product of two values, kept and index being one vertex of
         each, with its common neighbourhood and members recorded."""
+        nonlocal merges
         product = other * value
         common_of[product] = math.gcd(common_of[other], common_of[value])
         members_of[product] = members_of.get(other, (kept,)) + members_of.get(value, (index,))
-        stats.merges += 1
+        merges += 1
         return product
 
-    def entry(items: Iterable[tuple[int, int, int]]):
-        """A fresh entry from (value, vertex index, weight) items, merging
-        equal weights: weight -> (value, index), index -> weight, heap."""
-        tuples: dict[int, tuple[int, int]] = {}
-        for value, index, weight in items:
-            if weight in tuples:
-                other, kept = tuples[weight]
-                tuples[weight] = (merge(other, kept, value, index), kept)
-            else:
-                tuples[weight] = (value, index)
-        heap = [sign * weight for weight in tuples]
-        heapq.heapify(heap)
-        return tuples, {index: weight for weight, (_, index) in tuples.items()}, heap
-
-    emitted: dict[int, tuple[int, ...]] = {}
-    # An entry is counted when pushed; an empty one is counted but never
-    # built or pushed, so every popped entry has a pivot.
-    stats.recursive_calls += 1
-    root = entry((t.value, i, t.weight) for i, t in enumerate(eg.tuples))
-    # The last field is the entry's guard (module docstring), 0 until set.
-    stack = [(root, 1, 0, (), 0)] if eg.tuples else []
-    while stack:
-        (tuples, weight_of, heap), prefix, common, members, guard = stack.pop()
-        while heap:
-            pivot_weight = sign * heapq.heappop(heap)
-            if pivot_weight in tuples:  # else removed since it was pushed
-                break
+    # An entry: weight -> (value, one vertex index), merging equal weights;
+    # that vertex index -> weight; and the heap of weights.
+    tuples: dict[int, tuple[int, int]] = {}
+    weight_of: dict[int, int] = {}
+    for index, (value, weight) in enumerate(eg.tuples):
+        if weight in tuples:
+            other, kept = tuples[weight]
+            tuples[weight] = (merge(other, kept, value, index), kept)
         else:
-            # Only tuples adjacent to the guard are left: it extends every
-            # clique the entry could emit.
-            stats.pruned += 1
-            continue
-        pivot_value, pivot_index = tuples.pop(pivot_weight)
-        del weight_of[pivot_index]
-        inner = math.gcd(common, common_of[pivot_value])
-        # The members of prefix * pivot_value: the pivot side's, and the
-        # clique's if the pivot is emitted here.
-        inner_members = members + members_of.get(pivot_value, (pivot_index,))
-        if tuples:
-            stats.pivot_splits += 1
-            # Every vertex of a tuple adjacent to the pivot is an input
-            # neighbour of each pivot vertex, and weight_of holds one vertex
-            # per live tuple, so either sequence finds each adjacent tuple
-            # once under the same test: walk the shorter.
-            walk = neighbours[pivot_index]
-            if len(weight_of) < len(walk):
-                walk = weight_of
-            adjacent = [
-                (v, weight)
-                for v in walk
-                if (weight := weight_of.get(v)) is not None and weight % pivot_value == 0
-            ]
-            left = []
-            copies = []
-            case1 = 1
-            for v, weight in adjacent:
-                value = tuples.pop(weight)[0]
-                del weight_of[v]
-                reduced = weight // pivot_value
-                if pivot_weight % reduced == 0:
-                    left.append((value, v, reduced))
-                    case1 *= value
-                else:
-                    left.append((value, v, math.gcd(pivot_weight, reduced)))
-                    copies.append((value, v, reduced))
-            stats.case1_count += len(left) - len(copies)
-            stats.case2_count += len(copies)
-            stats.gcd_calls += len(copies)
-            # The popped entry becomes the pivot-free side: the pivot and its
-            # neighbours are out, and each case-2 copy comes back under its
-            # weight with the case-1 values divided out. Sanitized, the first
-            # split of an unguarded entry makes the pivot's vertex its guard,
-            # and its heap then holds only the tuples free of it.
-            if maximal and not guard:
-                guard = eg.tuples[pivot_index].value
-            for value, v, weight in copies:
-                weight //= math.gcd(weight, case1)
-                free = not guard or common_of[value] % guard
-                if weight in tuples:
-                    other, kept = tuples[weight]
-                    tuples[weight] = (merge(other, kept, value, v), kept)
-                    # A free tuple is in the heap already; a flagged one
-                    # goes in when a free copy joins it.
-                    free = guard and free and not common_of[other] % guard
-                else:
-                    tuples[weight] = (value, v)
-                    weight_of[v] = weight
-                if free:
-                    heapq.heappush(heap, sign * weight)
-            # Both sides count as entries. The pivot-free side is pushed
-            # first, so popped after the whole pivot side.
-            stats.recursive_calls += 2
+            tuples[weight] = (value, index)
+            weight_of[index] = weight
+    heap = [sign * weight for weight in tuples]
+    heapq.heapify(heap)
+    emitted: dict[int, tuple[int, ...]] = {}
+    # The last field is the entry's guard (module docstring), 0 until set.
+    stack = [(tuples, weight_of, heap, 1, 0, (), 0)] if tuples else []
+    while stack:
+        tuples, weight_of, heap, prefix, common, members, guard = stack.pop()
+        # The popped entry, then each pivot side in turn: a pivot side is
+        # processed right after its split, so it never goes on the stack.
+        while True:
+            while heap:
+                pivot_weight = sign * heapq.heappop(heap)
+                if pivot_weight in tuples:  # else removed since it was pushed
+                    break
+            else:
+                # Only tuples adjacent to the guard are left: it extends
+                # every clique the entry could emit.
+                pruned += 1
+                break
+            pivot_value, pivot_index = tuples.pop(pivot_weight)
+            del weight_of[pivot_index]
+            inner = math.gcd(common, common_of[pivot_value])
+            # The members of prefix * pivot_value: the pivot side's, and the
+            # clique's if the pivot is emitted here.
+            inner_members = members + members_of.get(pivot_value, (pivot_index,))
             if tuples:
-                stack.append(((tuples, weight_of, heap), prefix, common, members, guard))
-            if left:
-                stack.append((entry(left), prefix * pivot_value, inner, inner_members, 0))
-                continue
-            # An isolated pivot forms its own maximal clique; the empty
-            # pivot side would silently lose it.
-        clique_id = prefix * pivot_value
-        if not maximal or inner == clique_id:
-            emitted[clique_id] = inner_members
+                splits += 1
+                # Every vertex of a tuple adjacent to the pivot is an input
+                # neighbour of each pivot vertex, and weight_of holds one
+                # vertex per live tuple, so either sequence finds each
+                # adjacent tuple once under the same test: walk the shorter.
+                walk = neighbours[pivot_index]
+                if len(weight_of) < len(walk):
+                    walk = weight_of
+                adjacent = [
+                    (v, weight)
+                    for v in walk
+                    if (weight := weight_of.get(v)) is not None and weight % pivot_value == 0
+                ]
+                adjacent_count += len(adjacent)
+                # The pivot side is built as its tuples leave the entry.
+                side: dict[int, tuple[int, int]] = {}
+                side_of: dict[int, int] = {}
+                side_heap = []
+                copies = []
+                case1 = 1
+                for v, weight in adjacent:
+                    value = tuples.pop(weight)[0]
+                    del weight_of[v]
+                    reduced = weight // pivot_value
+                    if pivot_weight % reduced == 0:
+                        case1 *= value
+                    else:
+                        copies.append((value, v, reduced))
+                        reduced = math.gcd(pivot_weight, reduced)
+                    if reduced in side:
+                        other, kept = side[reduced]
+                        side[reduced] = (merge(other, kept, value, v), kept)
+                    else:
+                        side[reduced] = (value, v)
+                        side_of[v] = reduced
+                        side_heap.append(sign * reduced)
+                case2 += len(copies)
+                # The popped entry becomes the pivot-free side: the pivot and
+                # its neighbours are out, and each case-2 copy comes back under
+                # its weight with the case-1 values divided out. Sanitized, the
+                # first split of an unguarded entry makes the pivot's vertex
+                # its guard, and its heap then holds only the tuples free of it.
+                if maximal and not guard:
+                    guard = eg.tuples[pivot_index].value
+                for value, v, weight in copies:
+                    if case1 != 1:
+                        weight //= math.gcd(weight, case1)
+                    free = not guard or common_of[value] % guard
+                    if weight in tuples:
+                        other, kept = tuples[weight]
+                        tuples[weight] = (merge(other, kept, value, v), kept)
+                        # A free tuple is in the heap already; a flagged one
+                        # goes in when a free copy joins it.
+                        free = guard and free and not common_of[other] % guard
+                    else:
+                        tuples[weight] = (value, v)
+                        weight_of[v] = weight
+                    if free:
+                        heapq.heappush(heap, sign * weight)
+                # The pivot-free side waits on the stack for the whole pivot
+                # side, so ids come out in the order of the paper's recursion.
+                if tuples:
+                    stack.append((tuples, weight_of, heap, prefix, common, members, guard))
+                if side:
+                    heapq.heapify(side_heap)
+                    tuples, weight_of, heap = side, side_of, side_heap
+                    prefix *= pivot_value
+                    common = inner
+                    members = inner_members
+                    guard = 0
+                    continue
+                # An isolated pivot forms its own maximal clique; the empty
+                # pivot side would silently lose it.
+            clique_id = prefix * pivot_value
+            if not maximal or inner == clique_id:
+                emitted[clique_id] = inner_members
+            break
+    # Each split counts both sides as entries, empty or dropped ones
+    # included, and the root counts too.
+    stats.recursive_calls += 1 + 2 * splits
+    stats.merges += merges
+    stats.pivot_splits += splits
+    stats.case1_count += adjacent_count - case2
+    stats.case2_count += case2
+    stats.gcd_calls += case2
+    stats.pruned += pruned
     return emitted
 
 
@@ -447,19 +473,20 @@ def solve_graph(
         config = SolverConfig()
     eg = encoding.encode(g, assignment)
     ids, stats = find_cliques(eg, config)
-    tuples = eg.tuples
+    values = [t.value for t in eg.tuples]
+    weights = [t.weight for t in eg.tuples]
+    vertex = list(range(1, len(values) + 1)).__getitem__  # index -> vertex id
     cliques = {}
     for clique_id in sorted(ids) if config.sanitize else ids:
         members = ids[clique_id]
-        rest = clique_id
+        product = 1
         for v in members:
-            t = tuples[v]
-            if t.weight % clique_id or rest % t.value:
+            if weights[v] % clique_id:
                 break
-            rest //= t.value
+            product *= values[v]
         else:
-            if rest == 1:  # the members' primes multiply to the id
-                cliques[clique_id] = frozenset([v + 1 for v in members])
+            if product == clique_id:
+                cliques[clique_id] = frozenset(map(vertex, members))
                 continue
         cliques[clique_id] = _decode_clique_checked(clique_id, eg)
     return cliques, stats

@@ -167,3 +167,24 @@ def test_write_cliques_orders_lines_as_strings():
     # lexicographic on the rendered line: "1 10" sorts before "1 2"
     out = write_cliques([{1, 2}, {1, 10}])
     assert out == "1 10\n1 2\n"
+
+
+def test_write_cliques_reads_each_clique_once_and_names_every_member():
+    # One-shot members, unsorted, and members across every change of digit
+    # count, 0 included. The descending run 10000..0 holds enough names for
+    # the call to use a name table over 0..10000.
+    with_ids = {
+        110: (v for v in (10, 9)),
+        7: iter([10000, 0, 9]),
+        3: [10, 0],
+        13: (v for v in [9]),
+        2: (v for v in range(10000, -1, -1)),
+    }
+    run = " ".join(map(str, range(10001)))
+    assert write_cliques(with_ids) == f"{run}\t2\n0 10\t3\n0 9 10000\t7\n9\t13\n9 10\t110\n"
+    # Too few names for a table over 0..10000: each member is named by itself.
+    plain = ((v for v in c) for c in ([10, 9], [10000, 0], [9, 10], []))
+    assert write_cliques(plain) == "\n0 10000\n9 10\n9 10\n"
+    # Enough names for a table over 0..2, but -1 would index it from its end
+    # and print as 2.
+    assert write_cliques(iter(c) for c in ([2, 1], [1, -1, 2], [0, 2])) == "-1 1 2\n0 2\n1 2\n"

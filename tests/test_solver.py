@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -416,6 +417,38 @@ REFERENCE_GRAPHS = {
 @pytest.mark.parametrize("name", REFERENCE_GRAPHS)
 def test_find_cliques_takes_the_literal_steps_on_larger_graphs(name):
     assert_matches_reference(REFERENCE_GRAPHS[name]())
+
+
+# Sanitized ids come in their own order, which assert_matches_reference
+# compares only as a set: the SHA-256 of the ids in emission order, joined by
+# spaces, and the SolverStats fields in declaration order, pruned last.
+SANITIZED_GOLDEN = [
+    ("star_1_199", "descending", "4206a27450972662c985b63efa2965b9d0031fcdea86efefc1926f90c58bc10b", (399, 0, 199, 199, 0, 0, 1704, 0)),
+    ("star_1_199", "ascending", "0e5be3179e12fb9cedeb76dd03edf7d1ac20ab1f5766606ac2af44848f7027b1", (397, 1, 198, 0, 198, 198, 1704, 0)),
+    ("k30_pendants", "descending", "271ffb3c061c4983b66a9e9d3682525ef2698e1b50cae8966bb97c5f26fa7dec", (63, 56, 31, 1, 58, 58, 163, 1)),
+    ("k30_pendants", "ascending", "d287cd3b94dc0f1a5ab3ee86cbb8fb837ee53e2823b2aea46154345aed04ac5a", (61, 29, 30, 0, 30, 30, 163, 0)),
+    ("path600", "descending", "98f72c85c9869ff7ab03dc65136914c94c420dfdec56b24ce5b7fd0c149600f9", (1197, 1, 598, 299, 299, 299, 37, 0)),
+    ("path600", "ascending", "c5351eb75bba8cb42d2761e6e050e4298fa6f07a92fa2cec6c61b21e4b9b6fcc", (1197, 1, 598, 1, 597, 597, 37, 0)),
+    ("cycle600", "descending", "4354798866b4f5b2a0575f2198845d286858ad1c1705895135556f0d0afdc3c4", (1201, 0, 600, 300, 300, 300, 37, 0)),
+    ("cycle600", "ascending", "6211cf551ea3a5abc01bad80eea9a4a1641e81cf8a3675076fa0be4ddf60983e", (1199, 1, 599, 1, 598, 598, 37, 0)),
+    ("gnp600", "descending", "cf0ad36b043f879b3ba963cfb375715ce2d23a7d6f69a362a433cde140f94354", (1599, 88, 799, 188, 486, 486, 101, 0)),
+    ("gnp600", "ascending", "22072cb7ad66b1ea16942aa2e8623a8de1b2fee117888825d99be430b9d01844", (1601, 11, 800, 0, 752, 752, 101, 0)),
+    ("gnp70_033", "descending", "58eb3b81e11f7f6de4dba1be044d9554c0d9745497b1142ff7c56010384aaa21", (2893, 282, 1446, 527, 2512, 2512, 209, 47)),
+    ("gnp70_033", "ascending", "efff8eed4a30b08b76b20c4cf2a45e2895ef830bc95c74aa62468096c2bb08b4", (2631, 627, 1315, 93, 2836, 2836, 209, 10)),
+    ("moon_moser5", "descending", "98345e03b21d9b5fdcdaa7d9f4537792c16796c49c1783b218f2a23e8f35ac66", (565, 0, 282, 174, 348, 348, 57, 0)),
+    ("moon_moser5", "ascending", "efa93d5c884e571faccdbb05db4b9c8335e022971a1f4b0c7ae2657100550775", (565, 0, 282, 174, 348, 348, 57, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, order, digest, stats",
+    SANITIZED_GOLDEN,
+    ids=[f"{name}-{order}" for name, order, *_ in SANITIZED_GOLDEN],
+)
+def test_sanitized_emission_order_and_stats_are_pinned(name, order, digest, stats):
+    exact, exact_stats = find_cliques(encode(REFERENCE_GRAPHS[name]()), SolverConfig(pivot_order=order))
+    assert hashlib.sha256(" ".join(map(str, exact)).encode()).hexdigest() == digest
+    assert exact_stats == SolverStats(*stats)
 
 
 @given(graphs(max_n=12))
