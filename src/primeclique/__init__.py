@@ -19,7 +19,7 @@ from .encoding import (
 )
 from .errors import IntegrityError, ParseError
 from .oracle import DiffReport, bron_kerbosch, diff
-from .solver import SolverConfig, SolverStats, find_cliques, sanitize, solve_graph
+from .solver import SolverStats, find_cliques, sanitize, solve_graph
 
 __all__ = [
     "Graph",
@@ -29,7 +29,6 @@ __all__ = [
     "encode",
     "decode_clique",
     "decode_graph",
-    "SolverConfig",
     "SolverStats",
     "find_cliques",
     "sanitize",

@@ -7,6 +7,7 @@ integrity failure.
 
 import argparse
 import csv
+import functools
 import sys
 import time
 
@@ -32,6 +33,7 @@ STATS_FIELDS = ("family", "n", "p", "seed", "wall_ms", *STATS_COLUMNS, "clique_c
 CSV_FIELDS = [*STATS_FIELDS[: -len(CASE_COLUMNS)], "verified", *CASE_COLUMNS]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="primeclique",
@@ -115,9 +117,8 @@ def _read_graph(path: str, fmt: str) -> Graph:
 def _run(g: Graph, raw: bool):
     """Solve a graph under the default assignment, returning (dict clique id
     -> vertex set, stats, wall-clock ms)."""
-    config = solver.SolverConfig(sanitize=not raw)
     start = time.perf_counter()
-    cliques, stats = solver.solve_graph(g, config)
+    cliques, stats = solver.solve_graph(g, sanitize=not raw)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return cliques, stats, wall_ms
 

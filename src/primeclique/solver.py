@@ -28,18 +28,17 @@ sanitized mode also prunes, as the last paragraph says). A stack entry
 holds its tuples indexed three ways: a dict weight -> (value, one vertex
 index), where a tuple whose weight is already present merges on insert; a
 dict vertex index -> weight for that one vertex; and a heap of weights,
-with lazy deletion, that yields the pivot (the largest weight for
-``descending``, the smallest for ``ascending``; weights are unique after
-merging). A weight only ever loses primes, so it holds none but its
-vertices' own and their common input neighbours', and every vertex of a
-tuple adjacent to the pivot is an input neighbour of each pivot vertex.
-So the divisibility test alone finds those tuples, whether it walks
-``EncodedGraph.neighbours`` of one pivot vertex or the entry's vertex
-index -> weight dict; a step walks the shorter of the two. The pivot side
-is built fresh, its two dicts and its heap filled in the same loop that
-takes each adjacent tuple out of the entry and classifies it. The
-pivot-free side is the popped entry itself, updated in place: the pivot
-and its neighbours leave, and each case-2 copy comes back under its
+with lazy deletion, that yields the pivot (the largest weight; weights are
+unique after merging). A weight only ever loses primes, so it holds none
+but its vertices' own and their common input neighbours', and every vertex
+of a tuple adjacent to the pivot is an input neighbour of each pivot
+vertex. So the divisibility test alone finds those tuples, whether it
+walks ``EncodedGraph.neighbours`` of one pivot vertex or the entry's
+vertex index -> weight dict; a step walks the shorter of the two. The
+pivot side is built fresh, its two dicts and its heap filled in the same
+loop that takes each adjacent tuple out of the entry and classifies it.
+The pivot-free side is the popped entry itself, updated in place: the
+pivot and its neighbours leave, and each case-2 copy comes back under its
 eliminated weight, merging if that weight is taken. A step costs
 O(min(live tuples, deg) + adjacent tuples · log n) instead of
 O(remainder). An empty side is counted as an entry but never built.
@@ -100,14 +99,13 @@ includes the non-maximal ids a guard would drop.
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 from . import encoding
 from .encoding import EncodedGraph, Graph, WeightedVertex
 from .errors import IntegrityError
 
 __all__ = [
-    "SolverConfig",
     "SolverStats",
     "TupleList",
     "sort_by_weight",
@@ -123,39 +121,36 @@ __all__ = [
 TupleList = list[WeightedVertex]
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    pivot_order: Literal["descending", "ascending"] = "descending"
-    sanitize: bool = True
-
-
 @dataclass
 class SolverStats:
     """Counters probing the enumeration's shape and the encoding's growth.
 
-    ``recursive_calls`` counts stack entries, one per call of the paper's
-    recursion: the root and both sides of every split, empty or dropped
-    ones included, so it is always ``1 + 2 * pivot_splits``. ``gcd_calls``
-    is one per case-2 split. ``pruned`` counts the guarded entries dropped
-    because every tuple left in them was adjacent to their guard; it is 0
-    in raw mode.
+    ``pruned`` counts the guarded entries dropped because every tuple left
+    in them was adjacent to their guard; it is 0 in raw mode.
     """
 
-    recursive_calls: int = 0
     merges: int = 0
     pivot_splits: int = 0
     case1_count: int = 0
     case2_count: int = 0
-    gcd_calls: int = 0
     max_weight_bits: int = 0
     pruned: int = 0
 
+    @property
+    def recursive_calls(self) -> int:
+        """Stack entries, one per call of the paper's recursion: the root
+        and both sides of every split, empty or dropped ones included."""
+        return 1 + 2 * self.pivot_splits
 
-def sort_by_weight(q: Sequence[WeightedVertex], order: str = "descending") -> TupleList:
-    """Stable sort by weight; equal weights stay in input order, adjacent."""
-    if order not in ("descending", "ascending"):
-        raise ValueError(f"unknown order {order!r}")
-    return sorted(q, key=lambda t: t.weight, reverse=order == "descending")
+    @property
+    def gcd_calls(self) -> int:
+        """One gcd per case-2 split."""
+        return self.case2_count
+
+
+def sort_by_weight(q: Sequence[WeightedVertex]) -> TupleList:
+    """Stable sort by descending weight; equal weights stay in input order, adjacent."""
+    return sorted(q, key=lambda t: t.weight, reverse=True)
 
 
 def merge_equal_weights(q: Sequence[WeightedVertex], common_of: dict[int, int]) -> TupleList:
@@ -224,13 +219,13 @@ def eliminate_case1_from_right(
 
 
 def find_cliques(
-    eg: EncodedGraph, config: SolverConfig | None = None
+    eg: EncodedGraph, *, sanitize: bool = True
 ) -> tuple[dict[int, tuple[int, ...]], SolverStats]:
     """Enumerate clique ids for an encoded graph, each with its members.
 
     Returns a dict from each clique id, in emission order, to its members'
     vertex indices (0-based, as in ``eg.neighbours``). With
-    ``config.sanitize`` on, the ids are the maximal cliques; with it off,
+    ``sanitize`` on, the ids are the maximal cliques; with it off,
     they are the paper's literal output, non-maximal ids included. No id is
     emitted twice: of two leaves of the recursion, the one on the pivot
     side of their last split carries that pivot's prime and the other does
@@ -245,22 +240,17 @@ def find_cliques(
     its tuple, and which vertex stands for a merged tuple inside the
     enumeration, follow the walk and are not part of the result.
     """
-    if config is None:
-        config = SolverConfig()
     # Every weight the enumeration forms divides an input weight (partition
     # divides or takes a gcd, elimination divides), so the input is widest.
     stats = SolverStats(max_weight_bits=max((t.weight.bit_length() for t in eg.tuples), default=0))
     common_of = {t.value: t.weight for t in eg.tuples}
-    return _enumerate(eg, config.pivot_order, stats, config.sanitize, common_of), stats
+    return _enumerate(eg, stats, sanitize, common_of), stats
 
 
 def _enumerate(
-    eg: EncodedGraph, order: str, stats: SolverStats, maximal: bool, common_of: dict[int, int]
+    eg: EncodedGraph, stats: SolverStats, maximal: bool, common_of: dict[int, int]
 ) -> dict[int, tuple[int, ...]]:
-    if order not in ("descending", "ascending"):
-        raise ValueError(f"unknown order {order!r}")
-    # Heap keys are sign * weight, so heap[0] holds the pivot's weight.
-    sign = -1 if order == "descending" else 1
+    # Heap keys are -weight, so heap[0] holds the pivot's weight.
     neighbours = eg.neighbours
     # All vertex indices of each merged value.
     members_of: dict[int, tuple[int, ...]] = {}
@@ -288,7 +278,7 @@ def _enumerate(
         else:
             tuples[weight] = (value, index)
             weight_of[index] = weight
-    heap = [sign * weight for weight in tuples]
+    heap = [-weight for weight in tuples]
     heapq.heapify(heap)
     emitted: dict[int, tuple[int, ...]] = {}
     # The last field is the entry's guard (module docstring), 0 until set.
@@ -299,7 +289,7 @@ def _enumerate(
         # processed right after its split, so it never goes on the stack.
         while True:
             while heap:
-                pivot_weight = sign * heapq.heappop(heap)
+                pivot_weight = -heapq.heappop(heap)
                 if pivot_weight in tuples:  # else removed since it was pushed
                     break
             else:
@@ -349,7 +339,7 @@ def _enumerate(
                     else:
                         side[reduced] = (value, v)
                         side_of[v] = reduced
-                        side_heap.append(sign * reduced)
+                        side_heap.append(-reduced)
                 case2 += len(copies)
                 # The popped entry becomes the pivot-free side: the pivot and
                 # its neighbours are out, and each case-2 copy comes back under
@@ -372,7 +362,7 @@ def _enumerate(
                         tuples[weight] = (value, v)
                         weight_of[v] = weight
                     if free:
-                        heapq.heappush(heap, sign * weight)
+                        heapq.heappush(heap, -weight)
                 # The pivot-free side waits on the stack for the whole pivot
                 # side, so ids come out in the order of the paper's recursion.
                 if tuples:
@@ -391,14 +381,10 @@ def _enumerate(
             if not maximal or inner == clique_id:
                 emitted[clique_id] = inner_members
             break
-    # Each split counts both sides as entries, empty or dropped ones
-    # included, and the root counts too.
-    stats.recursive_calls += 1 + 2 * splits
     stats.merges += merges
     stats.pivot_splits += splits
     stats.case1_count += adjacent_count - case2
     stats.case2_count += case2
-    stats.gcd_calls += case2
     stats.pruned += pruned
     return emitted
 
@@ -454,8 +440,9 @@ def _decode_clique_checked(clique_id: int, eg: EncodedGraph) -> frozenset[int]:
 
 def solve_graph(
     g: Graph,
-    config: SolverConfig | None = None,
     assignment: encoding.PrimeAssignment | None = None,
+    *,
+    sanitize: bool = True,
 ) -> tuple[dict[int, frozenset[int]], SolverStats]:
     """Encode a graph, enumerate, and map each clique id to its vertex set.
 
@@ -469,15 +456,13 @@ def solve_graph(
     it is decoded again by ``_decode_clique_checked``, which raises
     IntegrityError unless the id is a clique.
     """
-    if config is None:
-        config = SolverConfig()
     eg = encoding.encode(g, assignment)
-    ids, stats = find_cliques(eg, config)
+    ids, stats = find_cliques(eg, sanitize=sanitize)
     values = [t.value for t in eg.tuples]
     weights = [t.weight for t in eg.tuples]
     vertex = list(range(1, len(values) + 1)).__getitem__  # index -> vertex id
     cliques = {}
-    for clique_id in sorted(ids) if config.sanitize else ids:
+    for clique_id in sorted(ids) if sanitize else ids:
         members = ids[clique_id]
         product = 1
         for v in members:

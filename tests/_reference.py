@@ -20,9 +20,7 @@ from primeclique.solver import (
 )
 
 
-def reference_find_cliques(
-    q: Sequence[WeightedVertex], order: str = "descending"
-) -> tuple[list[int], SolverStats]:
+def reference_find_cliques(q: Sequence[WeightedVertex]) -> tuple[list[int], SolverStats]:
     """Raw ``find_cliques``' ids in emission order, one sort, merge and partition per step."""
     stats = SolverStats(max_weight_bits=max((t.weight.bit_length() for t in q), default=0))
     emitted: list[int] = []
@@ -30,8 +28,7 @@ def reference_find_cliques(
     stack = [(q, 1)]
     while stack:
         q, prefix = stack.pop()
-        stats.recursive_calls += 1
-        q = sort_by_weight(q, order)
+        q = sort_by_weight(q)
         if not q:
             continue
         n = len(q)
@@ -41,10 +38,8 @@ def reference_find_cliques(
         if len(q) > 1:
             stats.pivot_splits += 1
             left, right, pivot_bound = partition_by_pivot(q[1:], pivot)
-            case2 = len(left) - len(pivot_bound)
             stats.case1_count += len(pivot_bound)
-            stats.case2_count += case2
-            stats.gcd_calls += case2
+            stats.case2_count += len(left) - len(pivot_bound)
             # Pushed first, so popped after the whole pivot side.
             stack.append((right, prefix))
             stack.append((left, prefix * pivot.value))

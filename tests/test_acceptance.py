@@ -14,7 +14,7 @@ from primeclique.encoding import Graph, decode_graph, encode, has_edge
 from primeclique.graph_io import gen_complete, gen_gnp, gen_moon_moser, write_dimacs
 from primeclique.oracle import bron_kerbosch, diff, is_maximal
 from primeclique.primes import factor_over_basis
-from primeclique.solver import SolverConfig, find_cliques, solve_graph
+from primeclique.solver import find_cliques, solve_graph
 
 P_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -140,17 +140,6 @@ def test_criterion_6_encoding_invariants():
     assert graphs_checked == 1000
     assert elapsed < 60.0
     print(f"ACCEPTANCE 6: PASS encoding invariants on 1000 graphs ({elapsed:.1f}s)")
-
-
-def test_criterion_7_pivot_order_differential():
-    start = time.perf_counter()
-    ascending = SolverConfig(pivot_order="ascending")
-    for g in corpus():
-        got_desc, _ = solve_graph(g)
-        got_asc, _ = solve_graph(g, ascending)
-        assert got_desc == got_asc
-    elapsed = time.perf_counter() - start
-    print(f"ACCEPTANCE 7: PASS ascending == descending on 500 graphs ({elapsed:.1f}s)")
 
 
 def test_criterion_8_cli_golden_files(capsys):

@@ -108,17 +108,24 @@ def test_solve_stats_file(tmp_path, capsys):
     fields = dict(
         line.split("=", 1) for line in stats_path.read_text().splitlines()
     )
-    assert fields["family"] == "file"
-    assert fields["n"] == "3"
-    assert fields["clique_count"] == "2"
-    assert int(fields["recursive_calls"]) >= 1
-    assert float(fields["wall_ms"]) >= 0.0
-    assert "verified" not in fields
-    # P3's pivot 2 takes 1 and 3 into its subgraph as case-1 tuples
-    assert (fields["case1_count"], fields["case2_count"]) == ("2", "0")
-    # no entry of P3 is left with only neighbours of its guard
-    assert fields["pruned"] == "0"
-    assert list(fields)[-4:] == ["clique_count", "case1_count", "case2_count", "pruned"]
+    assert float(fields.pop("wall_ms")) >= 0.0
+    # P3's pivot 2 takes 1 and 3 into its subgraph as case-1 tuples, and no
+    # entry is left with only neighbours of its guard
+    assert list(fields.items()) == [
+        ("family", "file"), ("n", "3"), ("p", ""), ("seed", ""),
+        ("recursive_calls", "5"), ("merges", "0"), ("pivot_splits", "2"), ("gcd_calls", "0"),
+        ("max_weight_bits", "5"), ("clique_count", "2"),
+        ("case1_count", "2"), ("case2_count", "0"), ("pruned", "0"),
+    ]
+    spec = tmp_path / "spec.txt"
+    spec.write_text("gnp n=12 p=0.5 seed=3 verify=true\n")
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    wall = header.split(",").index("wall_ms")
+    row = row.split(",")
+    assert float(row.pop(wall)) >= 0.0
+    assert row == "gnp,12,0.5,3,39,5,19,25,31,13,true,11,25,1".split(",")
 
 
 def test_solve_raw_keeps_nonmaximal(tmp_path, capsys):
@@ -153,8 +160,8 @@ def test_verify_moon_moser(tmp_path, capsys):
 def test_verify_detects_injected_fault(monkeypatch, capsys):
     real = solver.find_cliques
 
-    def lossy(q, config=None):
-        out, stats = real(q, config)
+    def lossy(q, *, sanitize=True):
+        out, stats = real(q, sanitize=sanitize)
         return dict(sorted(out.items())[:-1]), stats
 
     monkeypatch.setattr(solver, "find_cliques", lossy)
@@ -167,8 +174,8 @@ def test_verify_detects_injected_fault(monkeypatch, capsys):
 def test_solve_integrity_failure_exits_3(monkeypatch, capsys):
     real = solver.find_cliques
 
-    def corrupted(q, config=None):
-        out, stats = real(q, config)
+    def corrupted(q, *, sanitize=True):
+        out, stats = real(q, sanitize=sanitize)
         return {**out, 10: ()}, stats  # {1, 3}: not adjacent in the path fixture
 
     monkeypatch.setattr(solver, "find_cliques", corrupted)

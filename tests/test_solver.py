@@ -20,7 +20,6 @@ from primeclique.errors import IntegrityError
 from primeclique.graph_io import gen_complete, gen_cycle, gen_gnp, gen_moon_moser, gen_path
 from primeclique.oracle import bron_kerbosch, diff, is_clique, is_maximal
 from primeclique.solver import (
-    SolverConfig,
     SolverStats,
     drop_contained_ids,
     eliminate_case1_from_right,
@@ -44,12 +43,6 @@ def test_sort_by_weight_descending():
 def test_sort_by_weight_stable_on_ties():
     q = [WV(2, 30), WV(3, 30)]
     assert sort_by_weight(q) == q
-    assert sort_by_weight(q, "ascending") == q
-
-
-def test_sort_by_weight_rejects_unknown_order():
-    with pytest.raises(ValueError):
-        sort_by_weight([], "sideways")
 
 
 def test_merge_equal_weights():
@@ -197,7 +190,7 @@ def raw_extras_graph() -> Graph:
 def test_raw_output_contains_nonmaximal_id():
     g = raw_extras_graph()
     eg = encode(g)
-    raw, _ = find_cliques(eg, SolverConfig(sanitize=False))
+    raw, _ = find_cliques(eg, sanitize=False)
     assert sorted(raw[15]) == [1, 2]  # {2, 3}: primes 3 * 5
     assert 30 in raw  # {1, 2, 3}: the superset that makes 15 non-maximal
     cleaned = sanitize(raw, eg)
@@ -238,7 +231,7 @@ def test_drop_contained_ids():
 def test_find_cliques_sanitize_matches_full_sanitize(g5):
     eg = encode(g5)
     pruned, _ = find_cliques(eg)
-    raw, _ = find_cliques(eg, SolverConfig(sanitize=False))
+    raw, _ = find_cliques(eg, sanitize=False)
     assert frozenset(pruned) == sanitize(raw, eg)
 
 
@@ -254,10 +247,9 @@ def test_solve_graph_decodes_in_id_order(g5):
 
 def test_solve_graph_raw_keeps_emission_order():
     g = raw_extras_graph()
-    config = SolverConfig(sanitize=False)
-    cliques, _ = solve_graph(g, config)
+    cliques, _ = solve_graph(g, sanitize=False)
     assert frozenset({2, 3}) in cliques.values()
-    assert list(cliques) == list(find_cliques(encode(g), config)[0])
+    assert list(cliques) == list(find_cliques(encode(g), sanitize=False)[0])
     assert len(cliques) == 6
 
 
@@ -269,13 +261,12 @@ def test_solve_graph_keys_are_the_ids_under_its_assignment(sanitized, shuffled):
     if shuffled:
         random.Random(3).shuffle(primes)
     assignment = PrimeAssignment(tuple(primes))
-    config = SolverConfig(sanitize=sanitized)
-    cliques, _ = solve_graph(g, config, assignment)
+    cliques, _ = solve_graph(g, assignment, sanitize=sanitized)
     for clique_id, members in cliques.items():
         assert clique_id == math.prod(primes[v - 1] for v in members)
     # sanitized keys ascend; raw keys come in emission order, which on this
     # graph is not id order
-    ids, _ = find_cliques(encode(g, assignment), config)
+    ids, _ = find_cliques(encode(g, assignment), sanitize=sanitized)
     assert list(cliques) == (sorted(ids) if sanitized else list(ids))
     assert sanitized or list(ids) != sorted(ids)
 
@@ -324,40 +315,23 @@ def test_sanitized_output_is_exactly_the_maximal_cliques(g):
         assert is_maximal(g, set(c))
 
 
-def test_pivot_orders_agree_on_corpus():
-    asc = SolverConfig(pivot_order="ascending")
-    for i in range(60):
-        g = gen_gnp(1 + (i % 10), [0.2, 0.5, 0.8][i % 3], seed=500 + i)
-        got_asc, _ = solve_graph(g, asc)
-        got_desc, _ = solve_graph(g)
-        assert got_asc == got_desc
-        # raw ascending pivots make the contained-neighborhood case
-        # unreachable: a divisor of the minimum weight would equal it, but
-        # weights are distinct after merging. A guarded sanitized entry
-        # pivots on the lightest tuple not adjacent to its guard, which need
-        # not be the lightest one.
-        _, stats_asc = find_cliques(encode(g), SolverConfig(pivot_order="ascending", sanitize=False))
-        assert stats_asc.case1_count == 0
-
-
 def test_raw_output_has_no_duplicate_ids():
     # pivot-side ids carry the pivot prime, pivot-free ids never do; the
     # literal list has no duplicate for the dict of ids to collapse
-    config = SolverConfig(sanitize=False)
     for i in range(60):
         g = gen_gnp(1 + (i % 12), [0.3, 0.6, 0.9][i % 3], seed=800 + i)
         eg = encode(g)
         literal, _ = reference_find_cliques(eg.tuples)
         assert len(literal) == len(set(literal))
-        assert list(find_cliques(eg, config)[0]) == literal
+        assert list(find_cliques(eg, sanitize=False)[0]) == literal
 
 
-@given(graphs(max_n=12), st.sampled_from(["descending", "ascending"]))
+@given(graphs(max_n=12))
 @settings(max_examples=200, deadline=None)
-def test_exact_emission_equals_sanitized_literal_output(g, order):
+def test_exact_emission_equals_sanitized_literal_output(g):
     eg = encode(g)
-    exact, _ = find_cliques(eg, SolverConfig(pivot_order=order))
-    literal, _ = find_cliques(eg, SolverConfig(pivot_order=order, sanitize=False))
+    exact, _ = find_cliques(eg)
+    literal, _ = find_cliques(eg, sanitize=False)
     assert frozenset(exact) == sanitize(literal, eg)
     # the guard changes the pivots and their order, not the members
     assert all(set(exact[c]) == set(literal[c]) for c in exact)
@@ -367,33 +341,28 @@ def test_exact_emission_equals_sanitized_literal_output(g, order):
     assert exact.keys() == {c for c in literal if math.gcd(*weights[c]) == c}
 
 
-@pytest.mark.parametrize("order", ["descending", "ascending"])
-def test_guard_drops_entries_it_extends(order):
+def test_guard_drops_entries_it_extends():
     # dense enough that guarded entries run out of tuples not adjacent to
-    # their guard (raw_extras descending drops one too, pinned below)
+    # their guard (raw_extras drops one too, pinned below)
     g = gen_gnp(40, 0.6, seed=1040)
-    cliques, stats = solve_graph(g, SolverConfig(pivot_order=order))
-    _, raw_stats = find_cliques(encode(g), SolverConfig(pivot_order=order, sanitize=False))
+    cliques, stats = solve_graph(g)
+    _, raw_stats = find_cliques(encode(g), sanitize=False)
     expected = bron_kerbosch(g)
     assert set(cliques.values()) == set(expected)
     assert len(cliques) == len(expected)
     assert stats.pruned > 0
     assert raw_stats.pruned == 0
-    # each split counts both sides, dropped ones included, and the root
-    for s in (stats, raw_stats):
-        assert s.recursive_calls == 1 + 2 * s.pivot_splits
 
 
 def assert_matches_reference(g):
     eg = encode(g)
-    for order in ("descending", "ascending"):
-        # raw: ids in emission order and SolverStats
-        raw, stats = find_cliques(eg, SolverConfig(pivot_order=order, sanitize=False))
-        assert (list(raw), stats) == reference_find_cliques(eg.tuples, order)
-        # sanitized: the maximal ids among them, each with the same members
-        exact, _ = find_cliques(eg, SolverConfig(pivot_order=order))
-        assert frozenset(exact) == sanitize(raw, eg)
-        assert all(set(exact[c]) == set(raw[c]) for c in exact)
+    # raw: ids in emission order and SolverStats
+    raw, stats = find_cliques(eg, sanitize=False)
+    assert (list(raw), stats) == reference_find_cliques(eg.tuples)
+    # sanitized: the maximal ids among them, each with the same members
+    exact, _ = find_cliques(eg)
+    assert frozenset(exact) == sanitize(raw, eg)
+    assert all(set(exact[c]) == set(raw[c]) for c in exact)
 
 
 @given(graphs(max_n=12))
@@ -421,32 +390,27 @@ def test_find_cliques_takes_the_literal_steps_on_larger_graphs(name):
 
 # Sanitized ids come in their own order, which assert_matches_reference
 # compares only as a set: the SHA-256 of the ids in emission order, joined by
-# spaces, and the SolverStats fields in declaration order, pruned last.
+# spaces, and the SolverStats fields in declaration order (merges,
+# pivot_splits, case1_count, case2_count, max_weight_bits, pruned). A test id
+# names the pivot order its pin was taken under, the largest weight first.
 SANITIZED_GOLDEN = [
-    ("star_1_199", "descending", "4206a27450972662c985b63efa2965b9d0031fcdea86efefc1926f90c58bc10b", (399, 0, 199, 199, 0, 0, 1704, 0)),
-    ("star_1_199", "ascending", "0e5be3179e12fb9cedeb76dd03edf7d1ac20ab1f5766606ac2af44848f7027b1", (397, 1, 198, 0, 198, 198, 1704, 0)),
-    ("k30_pendants", "descending", "271ffb3c061c4983b66a9e9d3682525ef2698e1b50cae8966bb97c5f26fa7dec", (63, 56, 31, 1, 58, 58, 163, 1)),
-    ("k30_pendants", "ascending", "d287cd3b94dc0f1a5ab3ee86cbb8fb837ee53e2823b2aea46154345aed04ac5a", (61, 29, 30, 0, 30, 30, 163, 0)),
-    ("path600", "descending", "98f72c85c9869ff7ab03dc65136914c94c420dfdec56b24ce5b7fd0c149600f9", (1197, 1, 598, 299, 299, 299, 37, 0)),
-    ("path600", "ascending", "c5351eb75bba8cb42d2761e6e050e4298fa6f07a92fa2cec6c61b21e4b9b6fcc", (1197, 1, 598, 1, 597, 597, 37, 0)),
-    ("cycle600", "descending", "4354798866b4f5b2a0575f2198845d286858ad1c1705895135556f0d0afdc3c4", (1201, 0, 600, 300, 300, 300, 37, 0)),
-    ("cycle600", "ascending", "6211cf551ea3a5abc01bad80eea9a4a1641e81cf8a3675076fa0be4ddf60983e", (1199, 1, 599, 1, 598, 598, 37, 0)),
-    ("gnp600", "descending", "cf0ad36b043f879b3ba963cfb375715ce2d23a7d6f69a362a433cde140f94354", (1599, 88, 799, 188, 486, 486, 101, 0)),
-    ("gnp600", "ascending", "22072cb7ad66b1ea16942aa2e8623a8de1b2fee117888825d99be430b9d01844", (1601, 11, 800, 0, 752, 752, 101, 0)),
-    ("gnp70_033", "descending", "58eb3b81e11f7f6de4dba1be044d9554c0d9745497b1142ff7c56010384aaa21", (2893, 282, 1446, 527, 2512, 2512, 209, 47)),
-    ("gnp70_033", "ascending", "efff8eed4a30b08b76b20c4cf2a45e2895ef830bc95c74aa62468096c2bb08b4", (2631, 627, 1315, 93, 2836, 2836, 209, 10)),
-    ("moon_moser5", "descending", "98345e03b21d9b5fdcdaa7d9f4537792c16796c49c1783b218f2a23e8f35ac66", (565, 0, 282, 174, 348, 348, 57, 0)),
-    ("moon_moser5", "ascending", "efa93d5c884e571faccdbb05db4b9c8335e022971a1f4b0c7ae2657100550775", (565, 0, 282, 174, 348, 348, 57, 0)),
+    ("star_1_199", "4206a27450972662c985b63efa2965b9d0031fcdea86efefc1926f90c58bc10b", (0, 199, 199, 0, 1704, 0)),
+    ("k30_pendants", "271ffb3c061c4983b66a9e9d3682525ef2698e1b50cae8966bb97c5f26fa7dec", (56, 31, 1, 58, 163, 1)),
+    ("path600", "98f72c85c9869ff7ab03dc65136914c94c420dfdec56b24ce5b7fd0c149600f9", (1, 598, 299, 299, 37, 0)),
+    ("cycle600", "4354798866b4f5b2a0575f2198845d286858ad1c1705895135556f0d0afdc3c4", (0, 600, 300, 300, 37, 0)),
+    ("gnp600", "cf0ad36b043f879b3ba963cfb375715ce2d23a7d6f69a362a433cde140f94354", (88, 799, 188, 486, 101, 0)),
+    ("gnp70_033", "58eb3b81e11f7f6de4dba1be044d9554c0d9745497b1142ff7c56010384aaa21", (282, 1446, 527, 2512, 209, 47)),
+    ("moon_moser5", "98345e03b21d9b5fdcdaa7d9f4537792c16796c49c1783b218f2a23e8f35ac66", (0, 282, 174, 348, 57, 0)),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, order, digest, stats",
+    "name, digest, stats",
     SANITIZED_GOLDEN,
-    ids=[f"{name}-{order}" for name, order, *_ in SANITIZED_GOLDEN],
+    ids=[f"{name}-descending" for name, *_ in SANITIZED_GOLDEN],
 )
-def test_sanitized_emission_order_and_stats_are_pinned(name, order, digest, stats):
-    exact, exact_stats = find_cliques(encode(REFERENCE_GRAPHS[name]()), SolverConfig(pivot_order=order))
+def test_sanitized_emission_order_and_stats_are_pinned(name, digest, stats):
+    exact, exact_stats = find_cliques(encode(REFERENCE_GRAPHS[name]()))
     assert hashlib.sha256(" ".join(map(str, exact)).encode()).hexdigest() == digest
     assert exact_stats == SolverStats(*stats)
 
@@ -456,9 +420,9 @@ def test_sanitized_emission_order_and_stats_are_pinned(name, order, digest, stat
 def test_common_of_is_the_common_closed_neighbourhood(g):
     eg = encode(g)
     with patch.object(solver, "_enumerate", wraps=solver._enumerate) as enumerate_:
-        find_cliques(eg, SolverConfig(sanitize=False))
+        find_cliques(eg, sanitize=False)
     # the dict the loop fills: every input value and every merged product
-    common_of = enumerate_.call_args.args[4]
+    common_of = enumerate_.call_args.args[3]
     adj = g.adjacency()
     for value, common in common_of.items():
         members = decode_clique(value, eg.assignment)
@@ -487,15 +451,14 @@ def test_sweep_matches_bron_kerbosch(family, n, p):
     expected = bron_kerbosch(g)
     # every id must be accepted from the members the enumeration recorded
     with patch.object(solver, "_decode_clique_checked", _no_checked_decode):
-        for order in ("descending", "ascending"):
-            cliques, _ = solve_graph(g, SolverConfig(pivot_order=order))
-            assert len(cliques) == len(expected)
-            assert set(cliques.values()) == set(expected)
+        cliques, _ = solve_graph(g)
+    assert len(cliques) == len(expected)
+    assert set(cliques.values()) == set(expected)
 
 
-# Larger graphs for the same check, about 25 s together in CPython 3.11
-# (gnp(80, .7) about 12 s and gnp(100, .6) about 9 s, each with both pivot
-# orders and Bron–Kerbosch; a path or cycle of 10^4 about 0.4 s): run with
+# Larger graphs for the same check, about 8 s together in CPython 3.11
+# (gnp(80, .7) about 3.8 s and gnp(100, .6) about 3.1 s, each with
+# Bron–Kerbosch; a path or cycle of 10^4 about 0.2 s): run with
 # ``pytest -m slow``.
 SLOW_SWEEP = [
     ("gnp", 80, 0.7),
@@ -527,13 +490,13 @@ def test_slow_sweep_matches_bron_kerbosch(family, n, p):
 @pytest.mark.parametrize("sanitized", [True, False])
 def test_solve_graph_rejects_injected_ids(paw, monkeypatch, bad_id, message, sanitized):
     # an id the enumeration never emitted comes with no members
-    def injected(q, config=None):
-        ids, stats = find_cliques(q, config)
+    def injected(q, *, sanitize=True):
+        ids, stats = find_cliques(q, sanitize=sanitize)
         return {**ids, bad_id: ()}, stats
 
     monkeypatch.setattr(solver, "find_cliques", injected)
     with pytest.raises(IntegrityError, match=message):
-        solve_graph(paw, SolverConfig(sanitize=sanitized))
+        solve_graph(paw, sanitize=sanitized)
 
 
 @pytest.mark.parametrize(
@@ -544,8 +507,8 @@ def test_solve_graph_rejects_injected_ids(paw, monkeypatch, bad_id, message, san
     ],
 )
 def test_solve_graph_rejects_a_record_that_is_no_clique(paw, monkeypatch, members):
-    def injected(q, config=None):
-        ids, stats = find_cliques(q, config)
+    def injected(q, *, sanitize=True):
+        ids, stats = find_cliques(q, sanitize=sanitize)
         return {**ids, 35: members}, stats
 
     monkeypatch.setattr(solver, "find_cliques", injected)
@@ -556,14 +519,13 @@ def test_solve_graph_rejects_a_record_that_is_no_clique(paw, monkeypatch, member
 @given(
     graphs(max_n=9),
     st.integers(0, 3),
-    st.sampled_from(["descending", "ascending"]),
     st.booleans(),
 )
 @settings(max_examples=100, deadline=None)
-def test_recorded_members_agree_with_checked_decode(g, extra, order, sanitized):
+def test_recorded_members_agree_with_checked_decode(g, extra, sanitized):
     # an assignment longer than the graph is trimmed to its n primes
     eg = encode(g, PrimeAssignment.default(g.n + extra))
-    ids, _ = find_cliques(eg, SolverConfig(pivot_order=order, sanitize=sanitized))
+    ids, _ = find_cliques(eg, sanitize=sanitized)
     for clique_id, members in ids.items():
         assert len(members) == len(set(members))
         assert frozenset(v + 1 for v in members) == solver._decode_clique_checked(clique_id, eg)
@@ -585,9 +547,9 @@ def test_solve_graph_keeps_no_state_between_enumerations(monkeypatch):
     b = gen_gnp(30, 0.5, seed=12)
     real = solver.find_cliques
 
-    def interleaved(q, config=None):
-        result = real(q, config)
-        real(encode(b), config)
+    def interleaved(q, *, sanitize=True):
+        result = real(q, sanitize=sanitize)
+        real(encode(b), sanitize=sanitize)
         return result
 
     monkeypatch.setattr(solver, "find_cliques", interleaved)
@@ -648,37 +610,31 @@ GOLDEN_GRAPHS = {
 }
 
 # Literal id lists in emission order and SolverStats fields in declaration
-# order (recursive_calls, merges, pivot_splits, case1_count, case2_count,
-# gcd_calls, max_weight_bits), as the recursive solver produced them, then
-# the sanitized run's SolverStats with ``pruned`` last. The guard changes
-# the sanitized steps: on raw_extras descending it drops the entry that
-# would emit 15, {2, 3}, which vertex 1 extends.
+# order (merges, pivot_splits, case1_count, case2_count, max_weight_bits), as
+# the recursive solver produced them, then the sanitized run's SolverStats
+# with ``pruned`` last. The guard changes the sanitized steps: on raw_extras
+# it drops the entry that would emit 15, {2, 3}, which vertex 1 extends. Test
+# ids name the pivot order, as above.
 LITERAL_GOLDEN = [
-    ("raw_extras", "descending", [34, 30, 26, 55, 15, 21], (11, 2, 5, 3, 3, 3, 13), (11, 2, 5, 2, 4, 4, 13, 1)),
-    ("raw_extras", "ascending", [21, 26, 30, 34, 10, 55], (11, 2, 5, 0, 6, 6, 13), (9, 2, 4, 0, 4, 4, 13, 0)),
-    ("g5", "descending", [33, 30, 14], (5, 2, 2, 2, 1, 1, 9), (5, 2, 2, 2, 1, 1, 9, 0)),
-    ("g5", "ascending", [14, 30, 33], (5, 2, 2, 0, 2, 2, 9), (5, 2, 2, 0, 2, 2, 9, 0)),
-    ("path8", "descending", [323, 221, 143, 77, 35, 15, 6], (13, 1, 6, 3, 3, 3, 13), (13, 1, 6, 3, 3, 3, 13, 0)),
-    ("path8", "ascending", [6, 15, 35, 77, 143, 221, 323], (13, 1, 6, 0, 6, 6, 13), (13, 1, 6, 1, 5, 5, 13, 0)),
-    ("moon_moser2", "descending", [65, 55, 35, 39, 33, 21, 26, 22, 14], (19, 0, 9, 3, 6, 6, 13), (19, 0, 9, 3, 6, 6, 13, 0)),
-    ("moon_moser2", "ascending", [14, 21, 35, 22, 26, 33, 55, 39, 65], (17, 1, 8, 0, 8, 8, 13), (19, 0, 9, 3, 6, 6, 13, 0)),
-    ("k4_pendants", "descending", [210, 133, 85, 30, 39, 6, 22], (13, 4, 6, 3, 6, 6, 12), (11, 4, 5, 1, 6, 6, 12, 1)),
-    ("k4_pendants", "ascending", [22, 39, 85, 133, 210], (9, 3, 4, 0, 4, 4, 12), (9, 3, 4, 0, 4, 4, 12, 0)),
-    ("gnp12", "descending", [144739, 3689, 19499, 9269, 14007, 1311, 3335, 1495, 7733, 6919, 1254, 286, 609, 119, 174], (33, 7, 16, 13, 19, 19, 31), (39, 5, 19, 11, 25, 25, 31, 1)),
-    ("gnp12", "ascending", [1495, 3335, 286, 9269, 174, 1254, 627, 6919, 7733, 703, 1311, 14007, 19499, 3689, 144739], (29, 12, 14, 0, 27, 27, 31), (31, 12, 15, 0, 29, 29, 31, 0)),
+    ("raw_extras", [34, 30, 26, 55, 15, 21], (2, 5, 3, 3, 13), (2, 5, 2, 4, 13, 1)),
+    ("g5", [33, 30, 14], (2, 2, 2, 1, 9), (2, 2, 2, 1, 9, 0)),
+    ("path8", [323, 221, 143, 77, 35, 15, 6], (1, 6, 3, 3, 13), (1, 6, 3, 3, 13, 0)),
+    ("moon_moser2", [65, 55, 35, 39, 33, 21, 26, 22, 14], (0, 9, 3, 6, 13), (0, 9, 3, 6, 13, 0)),
+    ("k4_pendants", [210, 133, 85, 30, 39, 6, 22], (4, 6, 3, 6, 12), (4, 5, 1, 6, 12, 1)),
+    ("gnp12", [144739, 3689, 19499, 9269, 14007, 1311, 3335, 1495, 7733, 6919, 1254, 286, 609, 119, 174], (7, 16, 13, 19, 31), (5, 19, 11, 25, 31, 1)),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, order, ids, stats, sanitized",
+    "name, ids, stats, sanitized",
     LITERAL_GOLDEN,
-    ids=[f"{name}-{order}" for name, order, *_ in LITERAL_GOLDEN],
+    ids=[f"{name}-descending" for name, *_ in LITERAL_GOLDEN],
 )
-def test_literal_output_and_stats_are_pinned(name, order, ids, stats, sanitized):
+def test_literal_output_and_stats_are_pinned(name, ids, stats, sanitized):
     eg = encode(GOLDEN_GRAPHS[name]())
-    literal, literal_stats = find_cliques(eg, SolverConfig(pivot_order=order, sanitize=False))
+    literal, literal_stats = find_cliques(eg, sanitize=False)
     assert list(literal) == ids
     assert literal_stats == SolverStats(*stats)  # pruned is 0
-    exact, exact_stats = find_cliques(eg, SolverConfig(pivot_order=order))
+    exact, exact_stats = find_cliques(eg)
     assert frozenset(exact) == sanitize(ids, eg)
     assert exact_stats == SolverStats(*sanitized)
