@@ -24,13 +24,13 @@ FAMILIES = {
     "moon-moser": (graph_io.gen_moon_moser, ("k",)),
 }
 
-# SolverStats fields reported by ``solve --stats`` and the bench CSV, in order.
-# The case split and the pruned count follow every older column, ``verified``
-# included.
-STATS_COLUMNS = ("recursive_calls", "merges", "pivot_splits", "gcd_calls", "max_weight_bits")
-CASE_COLUMNS = ("case1_count", "case2_count", "pruned")
-STATS_FIELDS = ("family", "n", "p", "seed", "wall_ms", *STATS_COLUMNS, "clique_count", *CASE_COLUMNS)
-CSV_FIELDS = [*STATS_FIELDS[: -len(CASE_COLUMNS)], "verified", *CASE_COLUMNS]
+# The bench CSV's columns, in order; ``solve --stats`` writes all of them but
+# ``verified``. The case split and the pruned count follow every older column.
+COLUMNS = (
+    "family", "n", "p", "seed", "wall_ms",
+    "recursive_calls", "merges", "pivot_splits", "gcd_calls", "max_weight_bits",
+    "clique_count", "verified", "case1_count", "case2_count", "pruned",
+)
 
 
 @functools.cache
@@ -124,11 +124,15 @@ def _run(g: Graph, raw: bool):
 
 
 def _record(labels, stats: solver.SolverStats, wall_ms: float, clique_count: int) -> dict[str, str]:
-    """A ``solve --stats`` record as text; labels are family, n, p, seed."""
-    counters = (getattr(stats, name) for name in STATS_COLUMNS)
-    cases = (getattr(stats, name) for name in CASE_COLUMNS)
-    values = (*labels, f"{wall_ms:.3f}", *counters, clique_count, *cases)
-    return {k: "" if v is None else str(v) for k, v in zip(STATS_FIELDS, values, strict=True)}
+    """A ``solve --stats`` record as text; labels are family, n, p, seed.
+    The other columns but ``verified`` are ``SolverStats`` fields."""
+    known = dict(zip(COLUMNS, labels), wall_ms=f"{wall_ms:.3f}", clique_count=clique_count)
+    record = {}
+    for name in COLUMNS:
+        if name != "verified":
+            value = known[name] if name in known else getattr(stats, name)
+            record[name] = "" if value is None else str(value)
+    return record
 
 
 def _cmd_solve(args) -> int:
@@ -214,7 +218,7 @@ def _cmd_bench(args) -> int:
     with open(args.spec) as fh:
         runs = _parse_bench_spec(fh.read())
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=COLUMNS, lineterminator="\n")
         writer.writeheader()
         for run in runs:
             for _ in range(args.reps):

@@ -25,7 +25,6 @@ __all__ = [
     "parse_dimacs",
     "parse_edge_list",
     "write_dimacs",
-    "write_edge_list",
     "gen_complete",
     "gen_path",
     "gen_cycle",
@@ -105,16 +104,6 @@ def write_dimacs(g: Graph) -> str:
     lines = [f"p edge {g.n} {len(g.edges)}"]
     lines.extend(f"e {u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
-
-
-def write_edge_list(g: Graph) -> str:
-    """Render a graph as a sorted edge list.
-
-    Trailing isolated vertices are not representable in this format (the
-    count is inferred from ids), so parse(write(g)) recovers g only when
-    vertex n has an edge.
-    """
-    return "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
 
 
 def gen_complete(n: int) -> Graph:

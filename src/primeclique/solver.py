@@ -22,12 +22,24 @@ neighborhood lies inside the pivot's. ``sort_by_weight``,
 ``merge_equal_weights``, ``partition_by_pivot`` and
 ``eliminate_case1_from_right`` are that literal step, one pass over the
 whole list each, and the reference ``find_cliques`` is tested against.
+They, ``sanitize`` and ``drop_contained_ids`` stay in this module although
+the solve path calls none of them: the benchmark's tracer wraps each one
+by its name here and reports a layer absent when its function is missing,
+and its tests expect only the ``prune`` layer to go missing. So they move
+out only once the tracer wraps what the solve path runs.
 
 ``find_cliques`` takes the same steps without the passes (in raw mode;
-sanitized mode also prunes, as the last paragraph says). A stack entry
-holds its tuples indexed three ways: a dict weight -> (value, one vertex
-index), where a tuple whose weight is already present merges on insert; a
-dict vertex index -> weight for that one vertex; and a heap of weights,
+sanitized mode also prunes, as the last paragraph says). Each live tuple
+is one immutable record ``(value, members, common)``: ``members`` are its
+vertices' indices, and ``common`` is the gcd of those vertices' input
+weights, their common closed neighborhood. Merging two records multiplies
+their values, joins their members and takes the gcd of their ``common``.
+A tuple's weight changes from entry to entry; its record does not, so a
+pivot side holds the very records it takes out of the entry, and a case-2
+copy carries its record back to the pivot-free side. A stack entry holds
+its tuples indexed three ways: a dict weight -> record, where a tuple whose
+weight is already present merges on insert; a dict vertex index -> weight
+for ``members[0]``, the tuple's stand-in vertex; and a heap of weights,
 with lazy deletion, that yields the pivot (the largest weight; weights are
 unique after merging). A weight only ever loses primes, so it holds none
 but its vertices' own and their common input neighbours', and every vertex
@@ -58,18 +70,14 @@ not in interpreter frames, so no recursion limit applies.
 An id is the product of pivot values whose vertices the enumeration
 knows, so it emits the id with its member list and nothing factors it
 later. Each entry carries ``members``, the vertex indices of its
-``prefix``; the pivot side's is its parent's plus the pivot's.
-``members_of`` maps each merged value to all of its vertex indices; any
-other value is the one vertex its tuple names.
+``prefix``; the pivot side's is its parent's plus the pivot record's.
 
 The paper's literal (raw) output is a list of clique ids in emission
 order. It holds every maximal clique but may include non-maximal ones:
 pivot-free ids inside the pivot's closed neighborhood. A clique is
 maximal exactly when the gcd of its members' input weights equals its
-id. ``common_of`` maps each value to that gcd over its vertices: a vertex
-to its weight, a merged value (the union of its parts' vertices) to the
-gcd of its parts' entries. One gcd per step, of ``common`` with the
-pivot's entry, gives the common neighborhood of ``prefix * pivot.value``.
+id. One gcd per step, of the entry's ``common`` with the pivot record's,
+gives the common neighborhood of ``prefix * pivot.value``.
 Sanitized enumeration emits that id only when the two are equal, so it
 emits every maximal clique exactly once; ``sanitize`` stays the
 integrity check and prune for literal lists.
@@ -83,7 +91,7 @@ later split. The guard is adjacent to the entry's whole prefix and is out
 of the entry, so a clique from the entry whose vertices are all adjacent
 to it is extended by it and is not maximal: every maximal clique the entry
 still holds has a tuple whose vertices are not all adjacent to the guard,
-a free tuple, ``common_of[value] % guard != 0``. The live weights in a
+a free tuple, ``common % guard != 0`` in its record. The live weights in a
 guarded entry's heap are exactly its free tuples': those present when the
 guard is set are the pivot's non-neighbours, hence free, and a case-2
 copy is pushed only when it is free or turns a flagged tuple free by
@@ -119,6 +127,8 @@ __all__ = [
 ]
 
 TupleList = list[WeightedVertex]
+# A live tuple of ``find_cliques``: (value, member vertex indices, common).
+Record = tuple[int, tuple[int, ...], int]
 
 
 @dataclass
@@ -153,20 +163,16 @@ def sort_by_weight(q: Sequence[WeightedVertex]) -> TupleList:
     return sorted(q, key=lambda t: t.weight, reverse=True)
 
 
-def merge_equal_weights(q: Sequence[WeightedVertex], common_of: dict[int, int]) -> TupleList:
+def merge_equal_weights(q: Sequence[WeightedVertex]) -> TupleList:
     """Coalesce each run of equal weights into one tuple.
 
     The merged value is the product of the run's values; the weight is
     unchanged. Expects equal weights to be adjacent (a sorted input).
-    ``common_of`` maps each value to the gcd of its vertices' input
-    weights; every merged value gets the gcd of its parts' entries.
     """
     merged: TupleList = []
     for t in q:
         if merged and merged[-1].weight == t.weight:
-            value = merged[-1].value * t.value
-            common_of[value] = math.gcd(common_of[merged[-1].value], common_of[t.value])
-            merged[-1] = WeightedVertex(value, t.weight)
+            merged[-1] = WeightedVertex(merged[-1].value * t.value, t.weight)
         else:
             merged.append(t)
     return merged
@@ -240,43 +246,29 @@ def find_cliques(
     its tuple, and which vertex stands for a merged tuple inside the
     enumeration, follow the walk and are not part of the result.
     """
-    # Every weight the enumeration forms divides an input weight (partition
-    # divides or takes a gcd, elimination divides), so the input is widest.
-    stats = SolverStats(max_weight_bits=max((t.weight.bit_length() for t in eg.tuples), default=0))
-    common_of = {t.value: t.weight for t in eg.tuples}
-    return _enumerate(eg, stats, sanitize, common_of), stats
-
-
-def _enumerate(
-    eg: EncodedGraph, stats: SolverStats, maximal: bool, common_of: dict[int, int]
-) -> dict[int, tuple[int, ...]]:
     # Heap keys are -weight, so heap[0] holds the pivot's weight.
     neighbours = eg.neighbours
-    # All vertex indices of each merged value.
-    members_of: dict[int, tuple[int, ...]] = {}
-    # The counters live in locals and reach stats once, at the end.
+    # The counters live in locals and reach SolverStats once, at the end.
     merges = splits = adjacent_count = case2 = pruned = 0
 
-    def merge(other: int, kept: int, value: int, index: int) -> int:
-        """The product of two values, kept and index being one vertex of
-        each, with its common neighbourhood and members recorded."""
+    def merge(kept: Record, other: Record) -> Record:
+        """The record of two tuples of equal weight, kept's vertex standing
+        for it: the product of their values, all their members and their
+        common neighbourhood."""
         nonlocal merges
-        product = other * value
-        common_of[product] = math.gcd(common_of[other], common_of[value])
-        members_of[product] = members_of.get(other, (kept,)) + members_of.get(value, (index,))
         merges += 1
-        return product
+        return (kept[0] * other[0], kept[1] + other[1], math.gcd(kept[2], other[2]))
 
-    # An entry: weight -> (value, one vertex index), merging equal weights;
-    # that vertex index -> weight; and the heap of weights.
-    tuples: dict[int, tuple[int, int]] = {}
+    # An entry: weight -> record, merging equal weights; the record's first
+    # member -> weight; and the heap of weights.
+    tuples: dict[int, Record] = {}
     weight_of: dict[int, int] = {}
     for index, (value, weight) in enumerate(eg.tuples):
+        record = (value, (index,), weight)
         if weight in tuples:
-            other, kept = tuples[weight]
-            tuples[weight] = (merge(other, kept, value, index), kept)
+            tuples[weight] = merge(tuples[weight], record)
         else:
-            tuples[weight] = (value, index)
+            tuples[weight] = record
             weight_of[index] = weight
     heap = [-weight for weight in tuples]
     heapq.heapify(heap)
@@ -297,12 +289,13 @@ def _enumerate(
                 # every clique the entry could emit.
                 pruned += 1
                 break
-            pivot_value, pivot_index = tuples.pop(pivot_weight)
+            pivot_value, pivot_members, pivot_common = tuples.pop(pivot_weight)
+            pivot_index = pivot_members[0]
             del weight_of[pivot_index]
-            inner = math.gcd(common, common_of[pivot_value])
+            inner = math.gcd(common, pivot_common)
             # The members of prefix * pivot_value: the pivot side's, and the
             # clique's if the pivot is emitted here.
-            inner_members = members + members_of.get(pivot_value, (pivot_index,))
+            inner_members = members + pivot_members
             if tuples:
                 splits += 1
                 # Every vertex of a tuple adjacent to the pivot is an input
@@ -319,25 +312,24 @@ def _enumerate(
                 ]
                 adjacent_count += len(adjacent)
                 # The pivot side is built as its tuples leave the entry.
-                side: dict[int, tuple[int, int]] = {}
+                side: dict[int, Record] = {}
                 side_of: dict[int, int] = {}
                 side_heap = []
                 copies = []
                 case1 = 1
                 for v, weight in adjacent:
-                    value = tuples.pop(weight)[0]
+                    record = tuples.pop(weight)
                     del weight_of[v]
                     reduced = weight // pivot_value
                     if pivot_weight % reduced == 0:
-                        case1 *= value
+                        case1 *= record[0]
                     else:
-                        copies.append((value, v, reduced))
+                        copies.append((reduced, record))
                         reduced = math.gcd(pivot_weight, reduced)
                     if reduced in side:
-                        other, kept = side[reduced]
-                        side[reduced] = (merge(other, kept, value, v), kept)
+                        side[reduced] = merge(side[reduced], record)
                     else:
-                        side[reduced] = (value, v)
+                        side[reduced] = record
                         side_of[v] = reduced
                         side_heap.append(-reduced)
                 case2 += len(copies)
@@ -346,21 +338,21 @@ def _enumerate(
                 # its weight with the case-1 values divided out. Sanitized, the
                 # first split of an unguarded entry makes the pivot's vertex
                 # its guard, and its heap then holds only the tuples free of it.
-                if maximal and not guard:
+                if sanitize and not guard:
                     guard = eg.tuples[pivot_index].value
-                for value, v, weight in copies:
+                for weight, record in copies:
                     if case1 != 1:
                         weight //= math.gcd(weight, case1)
-                    free = not guard or common_of[value] % guard
+                    free = not guard or record[2] % guard
                     if weight in tuples:
-                        other, kept = tuples[weight]
-                        tuples[weight] = (merge(other, kept, value, v), kept)
+                        other = tuples[weight]
+                        tuples[weight] = merge(other, record)
                         # A free tuple is in the heap already; a flagged one
                         # goes in when a free copy joins it.
-                        free = guard and free and not common_of[other] % guard
+                        free = guard and free and not other[2] % guard
                     else:
-                        tuples[weight] = (value, v)
-                        weight_of[v] = weight
+                        tuples[weight] = record
+                        weight_of[record[1][0]] = weight
                     if free:
                         heapq.heappush(heap, -weight)
                 # The pivot-free side waits on the stack for the whole pivot
@@ -378,15 +370,20 @@ def _enumerate(
                 # An isolated pivot forms its own maximal clique; the empty
                 # pivot side would silently lose it.
             clique_id = prefix * pivot_value
-            if not maximal or inner == clique_id:
+            if not sanitize or inner == clique_id:
                 emitted[clique_id] = inner_members
             break
-    stats.merges += merges
-    stats.pivot_splits += splits
-    stats.case1_count += adjacent_count - case2
-    stats.case2_count += case2
-    stats.pruned += pruned
-    return emitted
+    # Every weight the enumeration forms divides an input weight (partition
+    # divides or takes a gcd, elimination divides), so the input is widest.
+    max_weight_bits = max((t.weight.bit_length() for t in eg.tuples), default=0)
+    return emitted, SolverStats(
+        merges=merges,
+        pivot_splits=splits,
+        case1_count=adjacent_count - case2,
+        case2_count=case2,
+        max_weight_bits=max_weight_bits,
+        pruned=pruned,
+    )
 
 
 def drop_contained_ids(ids: Iterable[int]) -> frozenset[int]:

@@ -24,7 +24,6 @@ def reference_find_cliques(q: Sequence[WeightedVertex]) -> tuple[list[int], Solv
     """Raw ``find_cliques``' ids in emission order, one sort, merge and partition per step."""
     stats = SolverStats(max_weight_bits=max((t.weight.bit_length() for t in q), default=0))
     emitted: list[int] = []
-    common_of = {t.value: t.weight for t in q}
     stack = [(q, 1)]
     while stack:
         q, prefix = stack.pop()
@@ -32,7 +31,7 @@ def reference_find_cliques(q: Sequence[WeightedVertex]) -> tuple[list[int], Solv
         if not q:
             continue
         n = len(q)
-        q = merge_equal_weights(q, common_of)
+        q = merge_equal_weights(q)
         stats.merges += n - len(q)
         pivot = q[0]
         if len(q) > 1:

@@ -149,6 +149,19 @@ def test_verify_p3(capsys):
     assert capsys.readouterr().out == "matched=2 missing=0 extra=0\n"
 
 
+def test_verify_raw_reports_the_extra_clique(tmp_path, capsys):
+    from primeclique.graph_io import write_dimacs
+    from test_solver import raw_extras_graph
+
+    path = tmp_path / "extras.dimacs"
+    path.write_text(write_dimacs(raw_extras_graph()))
+    # raw output keeps {2, 3}, inside the maximal clique {1, 2, 3}
+    assert main(["verify", "--input", str(path), "--raw"]) == 1
+    assert capsys.readouterr().out == "matched=5 missing=0 extra=1\nextra: 2 3\n"
+    assert main(["verify", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == "matched=5 missing=0 extra=0\n"
+
+
 def test_verify_moon_moser(tmp_path, capsys):
     path = tmp_path / "mm.dimacs"
     main(["gen", "--family", "moon-moser", "--n", "3", "--out", str(path)])

@@ -47,23 +47,11 @@ def test_sort_by_weight_stable_on_ties():
 
 def test_merge_equal_weights():
     q = [WV(2, 30), WV(3, 30), WV(5, 30)]
-    common_of = {t.value: t.weight for t in q}
-    merged = merge_equal_weights(q, common_of)
+    merged = merge_equal_weights(q)
     assert merged == [WV(30, 30)]
-    assert len(q) - len(merged) == 2  # the merge count _enumerate records
-    # each merged value maps to the gcd of its parts' entries
-    assert common_of == {2: 30, 3: 30, 5: 30, 6: 30, 30: 30}
-    common_of = {2: 6, 3: 6, 5: 15}
-    assert merge_equal_weights([WV(2, 6), WV(3, 6), WV(5, 15)], common_of) == [WV(6, 6), WV(5, 15)]
-    assert common_of == {2: 6, 3: 6, 5: 15, 6: 6}
-    common_of = {2: 6, 5: 15}
-    assert merge_equal_weights([WV(2, 6), WV(5, 15)], common_of) == [WV(2, 6), WV(5, 15)]
-    assert common_of == {2: 6, 5: 15}
-    # parts whose input weights differ (a merge inside a subproblem): the
-    # entry is their common neighborhood, not the current weight
-    common_of = {2: 42, 3: 66}
-    assert merge_equal_weights([WV(2, 6), WV(3, 6)], common_of) == [WV(6, 6)]
-    assert common_of[6] == 6
+    assert len(q) - len(merged) == 2  # the merge count find_cliques records
+    assert merge_equal_weights([WV(2, 6), WV(3, 6), WV(5, 15)]) == [WV(6, 6), WV(5, 15)]
+    assert merge_equal_weights([WV(2, 6), WV(5, 15)]) == [WV(2, 6), WV(5, 15)]
 
 
 def test_partition_by_pivot_p3(p3):
@@ -283,7 +271,7 @@ def test_solve_graph_deep_recursion():
 @settings(max_examples=150)
 def test_partition_shrinks_both_sides(g):
     tuples = encode(g).tuples
-    q = merge_equal_weights(sort_by_weight(tuples), {t.value: t.weight for t in tuples})
+    q = merge_equal_weights(sort_by_weight(tuples))
     if len(q) < 2:
         return
     left, right, _ = partition_by_pivot(q[1:], q[0])
@@ -295,7 +283,7 @@ def test_partition_shrinks_both_sides(g):
 @settings(max_examples=100)
 def test_pivot_multiplication_preserves_cliques(g):
     eg = encode(g)
-    q = merge_equal_weights(sort_by_weight(eg.tuples), {t.value: t.weight for t in eg.tuples})
+    q = merge_equal_weights(sort_by_weight(eg.tuples))
     if len(q) < 2:
         return
     pivot = q[0]
@@ -413,21 +401,6 @@ def test_sanitized_emission_order_and_stats_are_pinned(name, digest, stats):
     exact, exact_stats = find_cliques(encode(REFERENCE_GRAPHS[name]()))
     assert hashlib.sha256(" ".join(map(str, exact)).encode()).hexdigest() == digest
     assert exact_stats == SolverStats(*stats)
-
-
-@given(graphs(max_n=12))
-@settings(max_examples=200, deadline=None)
-def test_common_of_is_the_common_closed_neighbourhood(g):
-    eg = encode(g)
-    with patch.object(solver, "_enumerate", wraps=solver._enumerate) as enumerate_:
-        find_cliques(eg, sanitize=False)
-    # the dict the loop fills: every input value and every merged product
-    common_of = enumerate_.call_args.args[3]
-    adj = g.adjacency()
-    for value, common in common_of.items():
-        members = decode_clique(value, eg.assignment)
-        expected = set.intersection(*(adj[v] | {v} for v in members))
-        assert decode_clique(common, eg.assignment) == expected
 
 
 SWEEP = (
