@@ -22,7 +22,6 @@ __all__ = [
     "WeightedVertex",
     "EncodedGraph",
     "encode",
-    "has_edge",
     "decode_clique",
     "decode_graph",
 ]
@@ -113,7 +112,8 @@ class WeightedVertex(NamedTuple):
 @dataclass(frozen=True)
 class EncodedGraph:
     """One WeightedVertex per vertex (index k-1 <-> vertex k), their n primes,
-    and each vertex's open neighbourhood as a list of 0-based indices.
+    and each vertex's open neighbourhood: ``neighbours[k - 1]`` lists vertex
+    k's neighbours as vertex ids.
 
     The lists let the solver reach a vertex's neighbours without a scan;
     ``decode_graph`` rebuilds the graph from the weights alone.
@@ -127,7 +127,7 @@ class EncodedGraph:
 def encode(g: Graph, assignment: PrimeAssignment | None = None) -> EncodedGraph:
     """Encode a graph: vertex k gets value = its prime, weight = product over N[k].
 
-    The same pass over the edges fills the 0-based neighbour lists.
+    The same pass over the edges fills the neighbour lists.
     """
     if assignment is None:
         assignment = PrimeAssignment.default(g.n)
@@ -141,24 +141,12 @@ def encode(g: Graph, assignment: PrimeAssignment | None = None) -> EncodedGraph:
     weights = list(primes)
     neighbours: tuple[list[int], ...] = tuple([] for _ in primes)
     for u, v in g.edges:
-        u -= 1
-        v -= 1
-        weights[u] *= primes[v]
-        weights[v] *= primes[u]
-        neighbours[u].append(v)
-        neighbours[v].append(u)
+        i, j = u - 1, v - 1
+        weights[i] *= primes[j]
+        weights[j] *= primes[i]
+        neighbours[i].append(v)
+        neighbours[j].append(u)
     return EncodedGraph(tuple(map(WeightedVertex, primes, weights)), assignment, neighbours)
-
-
-def has_edge(eg: EncodedGraph, i: int, j: int) -> bool:
-    """True iff i != j and the prime of i divides the weight of j.
-
-    On any valid encoding this is symmetric in i and j; the self test is
-    needed because every value divides its own weight.
-    """
-    if i == j:
-        return False
-    return eg.tuples[j - 1].weight % eg.tuples[i - 1].value == 0
 
 
 def decode_clique(clique_id: int, assignment: PrimeAssignment) -> frozenset[int]:
@@ -180,14 +168,16 @@ def decode_graph(eg: EncodedGraph) -> Graph:
     a value missing from its own weight, or divisibility holding in only
     one direction between a pair of vertices.
     """
-    n = len(eg.tuples)
+    tuples = eg.tuples
+    n = len(tuples)
     edges = set()
     for i in range(1, n + 1):
-        if eg.tuples[i - 1].weight % eg.tuples[i - 1].value:
+        value, weight = tuples[i - 1]
+        if weight % value:
             raise IntegrityError(f"vertex {i}: value does not divide its own weight")
         for j in range(i + 1, n + 1):
-            ij = has_edge(eg, i, j)
-            ji = has_edge(eg, j, i)
+            ij = tuples[j - 1].weight % value == 0  # the prime of i divides j's weight
+            ji = weight % tuples[j - 1].value == 0
             if ij != ji:
                 raise IntegrityError(
                     f"asymmetric adjacency between vertices {i} and {j}"

@@ -154,20 +154,27 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     edge iff the next 53-bit draw is below floor(p * 2**53).
 
     The draw is the top 53 bits of a SplitMix64 output, so the graph is
-    bit-identical for fixed (n, p, seed) on any platform or language.
+    bit-identical for fixed (n, p, seed) on any platform or language. The
+    stream's step is inlined, and each whole output is compared with the
+    threshold shifted left by 11 bits: the same test as comparing its top
+    53 bits with the threshold.
     """
     if n < 1:
         raise ValueError("gnp requires n >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
-    threshold = math.floor(p * float(1 << 53))
-    rng = SplitMix64(seed)
+    threshold = math.floor(p * float(1 << 53)) << 11
+    mask = SplitMix64.MASK
+    state = seed & mask
     pairs = []
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
-            if (rng.next_u64() >> 11) < threshold:
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            if z ^ (z >> 31) < threshold:
                 pairs.append((u, v))
-    return Graph.from_edges(n, pairs)
+    return Graph(n, frozenset(pairs))  # each pair already has u < v
 
 
 def gen_moon_moser(k: int) -> Graph:
@@ -189,9 +196,9 @@ def gen_moon_moser(k: int) -> Graph:
 def write_cliques(cliques: Iterable[Iterable[int]] | Mapping[int, Iterable[int]]) -> str:
     """Render cliques in the byte-exact text format.
 
-    Given a mapping from clique id to vertex set, such as ``solve_graph``
-    returns, each line gains a tab and the decimal id; given a plain
-    iterable of vertex sets, lines carry no id. Each clique is read and
+    Given a mapping from clique id to its vertex ids, such as
+    ``solve_graph`` returns, each line gains a tab and the decimal id; given
+    a plain iterable of cliques, lines carry no id. Each clique is read and
     sorted once, so any iterable of members will do. Members are named from
     a table of decimal strings built once per call, not by one ``str`` call
     per member per line.

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .encoding import Graph
 
-__all__ = ["bron_kerbosch", "is_clique", "is_maximal", "diff", "DiffReport"]
+__all__ = ["bron_kerbosch", "diff", "DiffReport"]
 
 
 def bron_kerbosch(g: Graph) -> list[frozenset[int]]:
@@ -37,27 +37,6 @@ def bron_kerbosch(g: Graph) -> list[frozenset[int]]:
             candidates.remove(v)
             excluded.add(v)
     return sorted(found, key=sorted)
-
-
-def is_clique(g: Graph, s: set[int]) -> bool:
-    """True iff every pair in s is an edge of g."""
-    members = sorted(s)
-    for v in members:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} not in graph of size {g.n}")
-    return all(
-        (members[i], members[j]) in g.edges
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-    )
-
-
-def is_maximal(g: Graph, s: set[int]) -> bool:
-    """True iff the clique s cannot be extended by any outside vertex."""
-    if not is_clique(g, s):
-        raise ValueError(f"{sorted(s)} is not a clique")
-    adj = g.adjacency()
-    return not any(s <= adj[v] for v in g.vertices() if v not in s)
 
 
 @dataclass(frozen=True)

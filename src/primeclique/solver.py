@@ -31,14 +31,15 @@ out only once the tracer wraps what the solve path runs.
 ``find_cliques`` takes the same steps without the passes (in raw mode;
 sanitized mode also prunes, as the last paragraph says). Each live tuple
 is one immutable record ``(value, members, common)``: ``members`` are its
-vertices' indices, and ``common`` is the gcd of those vertices' input
-weights, their common closed neighborhood. Merging two records multiplies
-their values, joins their members and takes the gcd of their ``common``.
+vertices' ids (1-based, as in DIMACS), and ``common`` is the gcd of those
+vertices' input weights, their common closed neighborhood. Merging two
+records multiplies their values, joins their members and takes the gcd of
+their ``common``.
 A tuple's weight changes from entry to entry; its record does not, so a
 pivot side holds the very records it takes out of the entry, and a case-2
 copy carries its record back to the pivot-free side. A stack entry holds
 its tuples indexed three ways: a dict weight -> record, where a tuple whose
-weight is already present merges on insert; a dict vertex index -> weight
+weight is already present merges on insert; a dict vertex id -> weight
 for ``members[0]``, the tuple's stand-in vertex; and a heap of weights,
 with lazy deletion, that yields the pivot (the largest weight; weights are
 unique after merging). A weight only ever loses primes, so it holds none
@@ -46,7 +47,7 @@ but its vertices' own and their common input neighbours', and every vertex
 of a tuple adjacent to the pivot is an input neighbour of each pivot
 vertex. So the divisibility test alone finds those tuples, whether it
 walks ``EncodedGraph.neighbours`` of one pivot vertex or the entry's
-vertex index -> weight dict; a step walks the shorter of the two. The
+vertex id -> weight dict; a step walks the shorter of the two. The
 pivot side is built fresh, its two dicts and its heap filled in the same
 loop that takes each adjacent tuple out of the entry and classifies it.
 The pivot-free side is the popped entry itself, updated in place: the
@@ -69,7 +70,7 @@ not in interpreter frames, so no recursion limit applies.
 
 An id is the product of pivot values whose vertices the enumeration
 knows, so it emits the id with its member list and nothing factors it
-later. Each entry carries ``members``, the vertex indices of its
+later. Each entry carries ``members``, the vertex ids of its
 ``prefix``; the pivot side's is its parent's plus the pivot record's.
 
 The paper's literal (raw) output is a list of clique ids in emission
@@ -127,7 +128,7 @@ __all__ = [
 ]
 
 TupleList = list[WeightedVertex]
-# A live tuple of ``find_cliques``: (value, member vertex indices, common).
+# A live tuple of ``find_cliques``: (value, member vertex ids, common).
 Record = tuple[int, tuple[int, ...], int]
 
 
@@ -230,7 +231,7 @@ def find_cliques(
     """Enumerate clique ids for an encoded graph, each with its members.
 
     Returns a dict from each clique id, in emission order, to its members'
-    vertex indices (0-based, as in ``eg.neighbours``). With
+    vertex ids (1-based, as in DIMACS and ``eg.neighbours``). With
     ``sanitize`` on, the ids are the maximal cliques; with it off,
     they are the paper's literal output, non-maximal ids included. No id is
     emitted twice: of two leaves of the recursion, the one on the pivot
@@ -263,13 +264,13 @@ def find_cliques(
     # member -> weight; and the heap of weights.
     tuples: dict[int, Record] = {}
     weight_of: dict[int, int] = {}
-    for index, (value, weight) in enumerate(eg.tuples):
-        record = (value, (index,), weight)
+    for vertex, (value, weight) in enumerate(eg.tuples, 1):
+        record = (value, (vertex,), weight)
         if weight in tuples:
             tuples[weight] = merge(tuples[weight], record)
         else:
             tuples[weight] = record
-            weight_of[index] = weight
+            weight_of[vertex] = weight
     heap = [-weight for weight in tuples]
     heapq.heapify(heap)
     emitted: dict[int, tuple[int, ...]] = {}
@@ -290,8 +291,8 @@ def find_cliques(
                 pruned += 1
                 break
             pivot_value, pivot_members, pivot_common = tuples.pop(pivot_weight)
-            pivot_index = pivot_members[0]
-            del weight_of[pivot_index]
+            pivot_vertex = pivot_members[0]
+            del weight_of[pivot_vertex]
             inner = math.gcd(common, pivot_common)
             # The members of prefix * pivot_value: the pivot side's, and the
             # clique's if the pivot is emitted here.
@@ -302,7 +303,7 @@ def find_cliques(
                 # neighbour of each pivot vertex, and weight_of holds one
                 # vertex per live tuple, so either sequence finds each
                 # adjacent tuple once under the same test: walk the shorter.
-                walk = neighbours[pivot_index]
+                walk = neighbours[pivot_vertex - 1]
                 if len(weight_of) < len(walk):
                     walk = weight_of
                 adjacent = [
@@ -339,7 +340,7 @@ def find_cliques(
                 # first split of an unguarded entry makes the pivot's vertex
                 # its guard, and its heap then holds only the tuples free of it.
                 if sanitize and not guard:
-                    guard = eg.tuples[pivot_index].value
+                    guard = eg.tuples[pivot_vertex - 1].value
                 for weight, record in copies:
                     if case1 != 1:
                         weight //= math.gcd(weight, case1)
@@ -416,13 +417,14 @@ def sanitize(raw: Iterable[int], eg: EncodedGraph) -> frozenset[int]:
     return drop_contained_ids(raw)
 
 
-def _decode_clique_checked(clique_id: int, eg: EncodedGraph) -> frozenset[int]:
-    """Decode an id, raising IntegrityError unless its vertices form a clique.
+def _decode_clique_checked(clique_id: int, eg: EncodedGraph) -> tuple[int, ...]:
+    """Decode an id to its vertex ids, ascending, raising IntegrityError
+    unless its vertices form a clique.
 
     The vertices are pairwise adjacent exactly when the id divides the
     weight of each of them.
     """
-    members = encoding.decode_clique(clique_id, eg.assignment)
+    members = sorted(encoding.decode_clique(clique_id, eg.assignment))
     tuples = eg.tuples
     if any(tuples[v - 1].weight % clique_id for v in members):
         # Name the first non-adjacent pair (a, b), a < b.
@@ -432,7 +434,7 @@ def _decode_clique_checked(clique_id: int, eg: EncodedGraph) -> frozenset[int]:
             f"id {clique_id} decodes to a non-clique: "
             f"vertices {a} and {b} are not adjacent"
         )
-    return members
+    return tuple(members)
 
 
 def solve_graph(
@@ -440,27 +442,26 @@ def solve_graph(
     assignment: encoding.PrimeAssignment | None = None,
     *,
     sanitize: bool = True,
-) -> tuple[dict[int, frozenset[int]], SolverStats]:
-    """Encode a graph, enumerate, and map each clique id to its vertex set.
+) -> tuple[dict[int, tuple[int, ...]], SolverStats]:
+    """Encode a graph, enumerate, and map each clique id to its vertex ids.
 
     An id is the product of its members' primes under the assignment (the
     default one when none is given). Sanitized mode returns each maximal
-    clique once, in id order; raw mode returns the literal ids in emission
-    order, non-maximal entries included. Each id comes with the members
-    the enumeration recorded, and is accepted in O(k) for k members: their
-    primes must multiply to the id, and the id must divide each member's
-    weight. An id whose record fails that test can only come from a fault;
-    it is decoded again by ``_decode_clique_checked``, which raises
-    IntegrityError unless the id is a clique.
+    clique once; raw mode returns the literal ids, non-maximal entries
+    included. Both come in emission order, each id with the tuple of vertex
+    ids the enumeration recorded, in the order it recorded them. An id is
+    accepted in O(k) for k members: their primes must multiply to the id,
+    and the id must divide each member's weight. An id whose record fails
+    that test can only come from a fault; it is decoded again by
+    ``_decode_clique_checked``, which raises IntegrityError unless the id is
+    a clique.
     """
     eg = encoding.encode(g, assignment)
-    ids, stats = find_cliques(eg, sanitize=sanitize)
-    values = [t.value for t in eg.tuples]
-    weights = [t.weight for t in eg.tuples]
-    vertex = list(range(1, len(values) + 1)).__getitem__  # index -> vertex id
-    cliques = {}
-    for clique_id in sorted(ids) if sanitize else ids:
-        members = ids[clique_id]
+    cliques, stats = find_cliques(eg, sanitize=sanitize)
+    # Indexed by vertex id; no record names vertex 0.
+    values = [0, *(t.value for t in eg.tuples)]
+    weights = [0, *(t.weight for t in eg.tuples)]
+    for clique_id, members in cliques.items():
         product = 1
         for v in members:
             if weights[v] % clique_id:
@@ -468,7 +469,6 @@ def solve_graph(
             product *= values[v]
         else:
             if product == clique_id:
-                cliques[clique_id] = frozenset(map(vertex, members))
                 continue
         cliques[clique_id] = _decode_clique_checked(clique_id, eg)
     return cliques, stats

@@ -1,4 +1,5 @@
-"""The paper's literal enumeration step, the reference for ``solver.find_cliques``.
+"""The paper's literal enumeration step, the reference for ``solver.find_cliques``,
+and the plain adjacency, clique and maximality tests the suite checks with.
 
 Each popped entry sorts its whole tuple list, merges equal weights and
 partitions the rest around the first tuple with the solver's list helpers,
@@ -11,7 +12,7 @@ the recursion, so it is checked against ``sanitize`` of this output instead.
 
 from typing import Sequence
 
-from primeclique.encoding import WeightedVertex
+from primeclique.encoding import EncodedGraph, Graph, WeightedVertex
 from primeclique.solver import (
     SolverStats,
     merge_equal_weights,
@@ -48,3 +49,35 @@ def reference_find_cliques(q: Sequence[WeightedVertex]) -> tuple[list[int], Solv
             # pivot side would silently lose it.
         emitted.append(prefix * pivot.value)
     return emitted, stats
+
+
+def has_edge(eg: EncodedGraph, i: int, j: int) -> bool:
+    """True iff i != j and the prime of i divides the weight of j.
+
+    On any valid encoding this is symmetric in i and j; the self test is
+    needed because every value divides its own weight.
+    """
+    if i == j:
+        return False
+    return eg.tuples[j - 1].weight % eg.tuples[i - 1].value == 0
+
+
+def is_clique(g: Graph, s: set[int]) -> bool:
+    """True iff every pair in s is an edge of g."""
+    members = sorted(s)
+    for v in members:
+        if not 1 <= v <= g.n:
+            raise ValueError(f"vertex {v} not in graph of size {g.n}")
+    return all(
+        (members[i], members[j]) in g.edges
+        for i in range(len(members))
+        for j in range(i + 1, len(members))
+    )
+
+
+def is_maximal(g: Graph, s: set[int]) -> bool:
+    """True iff the clique s cannot be extended by any outside vertex."""
+    if not is_clique(g, s):
+        raise ValueError(f"{sorted(s)} is not a clique")
+    adj = g.adjacency()
+    return not any(s <= adj[v] for v in g.vertices() if v not in s)

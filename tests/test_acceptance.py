@@ -8,11 +8,12 @@ import csv
 import math
 import time
 
+from _reference import has_edge, is_maximal
 from conftest import FIXTURES
 from primeclique.cli import main
-from primeclique.encoding import Graph, decode_graph, encode, has_edge
+from primeclique.encoding import Graph, decode_graph, encode
 from primeclique.graph_io import gen_complete, gen_gnp, gen_moon_moser, write_dimacs
-from primeclique.oracle import bron_kerbosch, diff, is_maximal
+from primeclique.oracle import bron_kerbosch, diff
 from primeclique.primes import factor_over_basis
 from primeclique.solver import find_cliques, solve_graph
 

@@ -1,5 +1,8 @@
 import csv
+import hashlib
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +13,10 @@ from conftest import FIXTURES
 import primeclique
 from primeclique import solver
 from primeclique.cli import main
-from primeclique.graph_io import parse_dimacs
+from primeclique.encoding import Graph
+from primeclique.graph_io import gen_gnp, gen_moon_moser, parse_dimacs, write_dimacs
+from primeclique.oracle import bron_kerbosch
+from test_solver import raw_extras_graph
 
 P3 = str(FIXTURES / "p3.dimacs")
 K3 = str(FIXTURES / "k3.dimacs")
@@ -129,9 +135,6 @@ def test_solve_stats_file(tmp_path, capsys):
 
 
 def test_solve_raw_keeps_nonmaximal(tmp_path, capsys):
-    from primeclique.graph_io import write_dimacs
-    from test_solver import raw_extras_graph
-
     path = tmp_path / "extras.dimacs"
     path.write_text(write_dimacs(raw_extras_graph()))
     stats_path = tmp_path / "stats.txt"
@@ -150,9 +153,6 @@ def test_verify_p3(capsys):
 
 
 def test_verify_raw_reports_the_extra_clique(tmp_path, capsys):
-    from primeclique.graph_io import write_dimacs
-    from test_solver import raw_extras_graph
-
     path = tmp_path / "extras.dimacs"
     path.write_text(write_dimacs(raw_extras_graph()))
     # raw output keeps {2, 3}, inside the maximal clique {1, 2, 3}
@@ -330,3 +330,80 @@ def test_verify_runs_under_a_small_recursion_limit(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "matched=201 missing=0 extra=0\n"
+
+
+def kth_primes(n: int) -> list[int]:
+    """The first n primes by trial division, apart from the program's sieve."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < n:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def expected_solve_output(g: Graph, with_ids: bool) -> str:
+    """``solve``'s text formatted from Bron-Kerbosch: members ascending, the
+    id the product of the members' primes, lines sorted as strings."""
+    primes = kth_primes(g.n)
+    lines = []
+    for c in bron_kerbosch(g):
+        line = " ".join(map(str, sorted(c)))
+        if with_ids:
+            line += f"\t{math.prod(primes[v - 1] for v in c)}"
+        lines.append(line + "\n")
+    return "".join(sorted(lines))
+
+
+def moon_moser_4_less_one_relabelled(seed: int) -> Graph:
+    g = gen_moon_moser(4)
+    n = g.n - 1
+    label = list(range(1, n + 1))
+    random.Random(seed).shuffle(label)
+    return Graph.from_edges(n, ((label[u - 1], label[v - 1]) for u, v in g.edges if v <= n))
+
+
+BYTE_EXACT_GRAPHS = {
+    **{
+        f"gnp-{n}-{p}": (lambda n=n, p=p, i=i: gen_gnp(n, p, 3000 + i))
+        for i, (n, p) in enumerate(
+            (n, p) for n in (1, 2, 4, 7, 10, 13, 16, 19, 22, 25) for p in (0.15, 0.4, 0.65, 0.9)
+        )
+    },
+    **{f"moon-moser-4-less-one-{s}": (lambda s=s: moon_moser_4_less_one_relabelled(s)) for s in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", BYTE_EXACT_GRAPHS)
+def test_solve_prints_bron_kerbosch_byte_for_byte(tmp_path, capsys, name):
+    g = BYTE_EXACT_GRAPHS[name]()
+    path = tmp_path / "g.dimacs"
+    path.write_text(write_dimacs(g))
+    for extra in ([], ["--ids"]):
+        assert main(["solve", "--input", str(path), *extra]) == 0
+        assert capsys.readouterr().out == expected_solve_output(g, with_ids=bool(extra))
+
+
+@pytest.mark.parametrize(
+    "make, lines, digest",
+    [
+        pytest.param(
+            raw_extras_graph, 6, "cdd90f6898f6dcf4015166b53d6ebf9c87282d0480138af1b455fa7ffbb33bc8",
+            id="raw_extras",
+        ),
+        pytest.param(
+            lambda: gen_gnp(30, 0.5, 2), 523, "83cfe7a3d1f04493034cb66448c219d23d6aa11845ccf6b6448e6ef25d727e35",
+            id="gnp-30-0.5-2",
+        ),
+    ],
+)
+def test_solve_raw_ids_bytes_are_pinned(tmp_path, capsys, make, lines, digest):
+    # the literal ids, non-maximal ones included, as solve --raw --ids printed
+    # them when solve_graph still returned vertex sets in id order
+    path = tmp_path / "g.dimacs"
+    path.write_text(write_dimacs(make()))
+    assert main(["solve", "--input", str(path), "--raw", "--ids"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 
+from _reference import has_edge
 from _strategies import graphs
 from primeclique import encoding
 from primeclique.encoding import (
@@ -13,7 +14,6 @@ from primeclique.encoding import (
     decode_clique,
     decode_graph,
     encode,
-    has_edge,
 )
 from primeclique.errors import IntegrityError
 from primeclique.primes import factor_over_basis, first_n_primes

@@ -1,5 +1,9 @@
+import hashlib
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _strategies import graphs
 from primeclique.encoding import Graph
@@ -131,6 +135,46 @@ def test_gen_gnp_deterministic_and_extremes():
     assert gen_gnp(10, 0.4, 7) != gen_gnp(10, 0.4, 8)
     assert gen_gnp(5, 0.0, 123).edges == frozenset()
     assert gen_gnp(5, 1.0, 123) == gen_complete(5)
+
+
+def plain_gnp(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) from the stream object, one draw per pair, top 53 bits."""
+    threshold = math.floor(p * float(1 << 53))
+    rng = SplitMix64(seed)
+    pairs = [
+        (u, v)
+        for u in range(1, n + 1)
+        for v in range(u + 1, n + 1)
+        if (rng.next_u64() >> 11) < threshold
+    ]
+    return Graph.from_edges(n, pairs)
+
+
+@given(
+    st.integers(1, 40),
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    st.integers(0, (1 << 64) - 1),
+)
+@example(40, 0.0, 5)
+@example(40, 1.0, 5)
+@settings(max_examples=200, deadline=None)
+def test_gen_gnp_matches_a_plain_loop_over_the_stream(n, p, seed):
+    assert gen_gnp(n, p, seed) == plain_gnp(n, p, seed)
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (1, "46852734d27ff9ca20d8514fa565694c83b7b45a65673c5c68887806d671f4b5"),
+        (7, "16e25b3957bb1ea45c70bdc06a01bb2f56b2bda65c738aac63c22dbb05d79d63"),
+        (701, "36c7cdd3177bc74a028246b661ae1910138ab698fb9a8a116e5c04e3b8a7b6ed"),
+    ],
+)
+def test_gen_gnp_dimacs_bytes_are_pinned(seed, digest):
+    # the benchmark's dense size, G(70, .33); the digests were taken from the
+    # generator that drew through SplitMix64.next_u64 one pair at a time
+    text = write_dimacs(gen_gnp(70, 0.33, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_gen_moon_moser_structure():

@@ -16,8 +16,9 @@ from primeclique.solver import solve_graph
 
 def clique_set(g: Graph, assignment: PrimeAssignment | None = None) -> set[frozenset[int]]:
     cliques, _ = solve_graph(g, assignment=assignment)
-    assert len(cliques) == len(set(cliques.values()))
-    return set(cliques.values())
+    found = set(map(frozenset, cliques.values()))
+    assert len(cliques) == len(found)
+    return found
 
 
 @given(st.data())

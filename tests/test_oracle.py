@@ -3,10 +3,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+from _reference import is_clique, is_maximal
 from _strategies import graphs
 from primeclique.encoding import Graph
 from primeclique.graph_io import gen_complete, gen_moon_moser
-from primeclique.oracle import bron_kerbosch, diff, is_clique, is_maximal
+from primeclique.oracle import bron_kerbosch, diff
 
 
 def exhaustive_maximal_cliques(g: Graph) -> set[frozenset[int]]:

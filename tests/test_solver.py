@@ -11,14 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _reference import reference_find_cliques
+from _reference import is_clique, is_maximal, reference_find_cliques
 from _strategies import graphs
 import primeclique
 from primeclique import solver
 from primeclique.encoding import Graph, PrimeAssignment, WeightedVertex, decode_clique, encode
 from primeclique.errors import IntegrityError
 from primeclique.graph_io import gen_complete, gen_cycle, gen_gnp, gen_moon_moser, gen_path
-from primeclique.oracle import bron_kerbosch, diff, is_clique, is_maximal
+from primeclique.oracle import bron_kerbosch, diff
 from primeclique.solver import (
     SolverStats,
     drop_contained_ids,
@@ -152,7 +152,7 @@ def test_find_cliques_fixtures(edges, n, expected_ids):
 
 def test_find_cliques_empty_and_singleton():
     assert find_cliques(encode(Graph(0)))[0] == {}
-    assert find_cliques(encode(Graph(1)))[0] == {2: (0,)}
+    assert find_cliques(encode(Graph(1)))[0] == {2: (1,)}
 
 
 def test_complete_graph_collapses_in_one_call():
@@ -179,7 +179,7 @@ def test_raw_output_contains_nonmaximal_id():
     g = raw_extras_graph()
     eg = encode(g)
     raw, _ = find_cliques(eg, sanitize=False)
-    assert sorted(raw[15]) == [1, 2]  # {2, 3}: primes 3 * 5
+    assert sorted(raw[15]) == [2, 3]  # {2, 3}: primes 3 * 5
     assert 30 in raw  # {1, 2, 3}: the superset that makes 15 non-maximal
     cleaned = sanitize(raw, eg)
     assert 15 not in cleaned
@@ -223,20 +223,22 @@ def test_find_cliques_sanitize_matches_full_sanitize(g5):
     assert frozenset(pruned) == sanitize(raw, eg)
 
 
-def test_solve_graph_decodes_in_id_order(g5):
-    # ids 14 < 30 < 33 decode to {1,4}, {1,2,3}, {2,5}
+def test_solve_graph_returns_emission_order(g5):
+    # the pivot 2 (weight 330) comes first, so 33 = {2, 5} and 30 = {1, 2, 3}
+    # come out before 14 = {1, 4}, as find_cliques emits them
     cliques, _ = solve_graph(g5)
-    assert list(cliques.items()) == [
-        (14, frozenset({1, 4})),
-        (30, frozenset({1, 2, 3})),
+    assert [(i, frozenset(c)) for i, c in cliques.items()] == [
         (33, frozenset({2, 5})),
+        (30, frozenset({1, 2, 3})),
+        (14, frozenset({1, 4})),
     ]
+    assert list(cliques) == list(find_cliques(encode(g5))[0])
 
 
 def test_solve_graph_raw_keeps_emission_order():
     g = raw_extras_graph()
     cliques, _ = solve_graph(g, sanitize=False)
-    assert frozenset({2, 3}) in cliques.values()
+    assert frozenset({2, 3}) in map(frozenset, cliques.values())
     assert list(cliques) == list(find_cliques(encode(g), sanitize=False)[0])
     assert len(cliques) == 6
 
@@ -252,11 +254,11 @@ def test_solve_graph_keys_are_the_ids_under_its_assignment(sanitized, shuffled):
     cliques, _ = solve_graph(g, assignment, sanitize=sanitized)
     for clique_id, members in cliques.items():
         assert clique_id == math.prod(primes[v - 1] for v in members)
-    # sanitized keys ascend; raw keys come in emission order, which on this
-    # graph is not id order
+    # keys come in emission order in both modes, which on this graph is not
+    # id order
     ids, _ = find_cliques(encode(g, assignment), sanitize=sanitized)
-    assert list(cliques) == (sorted(ids) if sanitized else list(ids))
-    assert sanitized or list(ids) != sorted(ids)
+    assert list(cliques) == list(ids)
+    assert list(ids) != sorted(ids)
 
 
 def test_solve_graph_deep_recursion():
@@ -336,7 +338,7 @@ def test_guard_drops_entries_it_extends():
     cliques, stats = solve_graph(g)
     _, raw_stats = find_cliques(encode(g), sanitize=False)
     expected = bron_kerbosch(g)
-    assert set(cliques.values()) == set(expected)
+    assert set(map(frozenset, cliques.values())) == set(expected)
     assert len(cliques) == len(expected)
     assert stats.pruned > 0
     assert raw_stats.pruned == 0
@@ -426,7 +428,7 @@ def test_sweep_matches_bron_kerbosch(family, n, p):
     with patch.object(solver, "_decode_clique_checked", _no_checked_decode):
         cliques, _ = solve_graph(g)
     assert len(cliques) == len(expected)
-    assert set(cliques.values()) == set(expected)
+    assert set(map(frozenset, cliques.values())) == set(expected)
 
 
 # Larger graphs for the same check, about 8 s together in CPython 3.11
@@ -501,7 +503,7 @@ def test_recorded_members_agree_with_checked_decode(g, extra, sanitized):
     ids, _ = find_cliques(eg, sanitize=sanitized)
     for clique_id, members in ids.items():
         assert len(members) == len(set(members))
-        assert frozenset(v + 1 for v in members) == solver._decode_clique_checked(clique_id, eg)
+        assert sorted(members) == list(solver._decode_clique_checked(clique_id, eg))
 
 
 def test_recorded_members_decode_cliques_without_the_checked_decode(monkeypatch):
@@ -509,7 +511,7 @@ def test_recorded_members_decode_cliques_without_the_checked_decode(monkeypatch)
     g = gen_gnp(40, 0.3, seed=5)
     monkeypatch.setattr(solver, "_decode_clique_checked", None)
     cliques, _ = solve_graph(g)
-    assert set(cliques.values()) == set(bron_kerbosch(g))
+    assert set(map(frozenset, cliques.values())) == set(bron_kerbosch(g))
     assert len(cliques) == len(bron_kerbosch(g))
 
 
@@ -528,7 +530,7 @@ def test_solve_graph_keeps_no_state_between_enumerations(monkeypatch):
     monkeypatch.setattr(solver, "find_cliques", interleaved)
     monkeypatch.setattr(solver, "_decode_clique_checked", _no_checked_decode)
     cliques, _ = solve_graph(a)
-    assert set(cliques.values()) == set(bron_kerbosch(a))
+    assert set(map(frozenset, cliques.values())) == set(bron_kerbosch(a))
     assert len(cliques) == len(bron_kerbosch(a))
 
 
