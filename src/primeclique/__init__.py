@@ -11,10 +11,8 @@ differential verification.
 from .encoding import (
     EncodedGraph,
     Graph,
-    PrimeAssignment,
     WeightedVertex,
     decode_clique,
-    decode_graph,
     encode,
 )
 from .errors import IntegrityError, ParseError
@@ -23,12 +21,10 @@ from .solver import SolverStats, find_cliques, sanitize, solve_graph
 
 __all__ = [
     "Graph",
-    "PrimeAssignment",
     "WeightedVertex",
     "EncodedGraph",
     "encode",
     "decode_clique",
-    "decode_graph",
     "SolverStats",
     "find_cliques",
     "sanitize",

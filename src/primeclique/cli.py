@@ -115,8 +115,8 @@ def _read_graph(path: str, fmt: str) -> Graph:
 
 
 def _run(g: Graph, raw: bool):
-    """Solve a graph under the default assignment, returning (dict clique id
-    -> its vertex ids, in emission order, stats, wall-clock ms)."""
+    """Solve a graph, returning (dict clique id -> its vertex ids, in
+    emission order, stats, wall-clock ms)."""
     start = time.perf_counter()
     cliques, stats = solver.solve_graph(g, sanitize=not raw)
     wall_ms = (time.perf_counter() - start) * 1000.0

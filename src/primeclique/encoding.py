@@ -1,6 +1,6 @@
-"""Arithmetic graph representation.
+"""Arithmetic graph representation: encoding a graph and decoding clique ids.
 
-Each vertex of a simple undirected graph is assigned a distinct prime, its
+Vertex k of a simple undirected graph is assigned the k-th prime, its
 *value*. A vertex's *weight* is the product of the values over its closed
 neighborhood (the vertex itself plus its neighbors). Adjacency then becomes
 divisibility (the prime of i divides the weight of j), common neighborhoods
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .errors import IntegrityError
-from .primes import factor_over_basis, first_n_primes, is_prime
+from .primes import first_n_primes
 
 __all__ = [
     "Graph",
@@ -23,7 +23,6 @@ __all__ = [
     "EncodedGraph",
     "encode",
     "decode_clique",
-    "decode_graph",
 ]
 
 
@@ -65,36 +64,18 @@ class Graph:
 
 @dataclass(frozen=True)
 class PrimeAssignment:
-    """Bijection between vertex ids 1..n and distinct primes.
+    """The primes of vertex ids 1..n: ``primes[k - 1]``, the k-th prime, is
+    the prime of vertex k, so clique ids are reproducible across runs.
 
-    ``primes[k - 1]`` is the prime of vertex k. The default assignment
-    gives vertex k the k-th prime, so clique ids are reproducible across
-    runs.
+    ``default`` builds it from the sieve; like ``EncodedGraph``, one built
+    by hand is not checked.
     """
 
     primes: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(set(self.primes)) != len(self.primes):
-            raise ValueError("assignment primes must be distinct")
-        for p in self.primes:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-
     @classmethod
     def default(cls, n: int) -> "PrimeAssignment":
-        return cls._unchecked(tuple(first_n_primes(n)))  # the sieve's primes
-
-    @classmethod
-    def _unchecked(cls, primes: tuple[int, ...]) -> "PrimeAssignment":
-        """An assignment over primes already known distinct and prime."""
-        assignment = object.__new__(cls)
-        object.__setattr__(assignment, "primes", primes)
-        return assignment
-
-    @property
-    def n(self) -> int:
-        return len(self.primes)
+        return cls(tuple(first_n_primes(n)))
 
 
 class WeightedVertex(NamedTuple):
@@ -115,8 +96,8 @@ class EncodedGraph:
     and each vertex's open neighbourhood: ``neighbours[k - 1]`` lists vertex
     k's neighbours as vertex ids.
 
-    The lists let the solver reach a vertex's neighbours without a scan;
-    ``decode_graph`` rebuilds the graph from the weights alone.
+    The lists let the solver reach a vertex's neighbours without a scan.
+    ``encode`` builds it; one built by hand is not checked.
     """
 
     tuples: tuple[WeightedVertex, ...]
@@ -124,19 +105,12 @@ class EncodedGraph:
     neighbours: tuple[list[int], ...]
 
 
-def encode(g: Graph, assignment: PrimeAssignment | None = None) -> EncodedGraph:
-    """Encode a graph: vertex k gets value = its prime, weight = product over N[k].
+def encode(g: Graph) -> EncodedGraph:
+    """Encode a graph: vertex k gets value = the k-th prime, weight = product over N[k].
 
     The same pass over the edges fills the neighbour lists.
     """
-    if assignment is None:
-        assignment = PrimeAssignment.default(g.n)
-    if assignment.n < g.n:
-        raise ValueError(
-            f"assignment covers {assignment.n} vertices, graph has {g.n}"
-        )
-    if assignment.n > g.n:  # ids then decode over the tuples' primes only
-        assignment = PrimeAssignment._unchecked(assignment.primes[: g.n])
+    assignment = PrimeAssignment.default(g.n)
     primes = assignment.primes
     weights = list(primes)
     neighbours: tuple[list[int], ...] = tuple([] for _ in primes)
@@ -150,38 +124,28 @@ def encode(g: Graph, assignment: PrimeAssignment | None = None) -> EncodedGraph:
 
 
 def decode_clique(clique_id: int, assignment: PrimeAssignment) -> frozenset[int]:
-    """The unique vertex set whose prime product equals the id.
+    """The unique vertex set whose prime product equals the id, by trial
+    division over the assignment's primes, O(n) per id.
 
-    Raises IntegrityError for a malformed id (residue outside the basis).
+    Raises IntegrityError for a malformed id: one below 1, or one with a
+    residue no prime of the assignment divides out (a repeated prime or one
+    outside the assignment).
     """
-    try:
-        indices = factor_over_basis(clique_id, assignment.primes)
-    except ValueError as exc:
-        raise IntegrityError(f"malformed clique id {clique_id}: {exc}") from exc
-    return frozenset(i + 1 for i in indices)
-
-
-def decode_graph(eg: EncodedGraph) -> Graph:
-    """Reconstruct the graph from an encoding; inverse of encode().
-
-    Raises IntegrityError when the weights are mutually inconsistent:
-    a value missing from its own weight, or divisibility holding in only
-    one direction between a pair of vertices.
-    """
-    tuples = eg.tuples
-    n = len(tuples)
-    edges = set()
-    for i in range(1, n + 1):
-        value, weight = tuples[i - 1]
-        if weight % value:
-            raise IntegrityError(f"vertex {i}: value does not divide its own weight")
-        for j in range(i + 1, n + 1):
-            ij = tuples[j - 1].weight % value == 0  # the prime of i divides j's weight
-            ji = weight % tuples[j - 1].value == 0
-            if ij != ji:
-                raise IntegrityError(
-                    f"asymmetric adjacency between vertices {i} and {j}"
-                )
-            if ij:
-                edges.add((i, j))
-    return Graph(n, frozenset(edges))
+    if clique_id < 1:
+        raise IntegrityError(
+            f"malformed clique id {clique_id}: value must be >= 1, got {clique_id}"
+        )
+    residue = clique_id
+    members = set()
+    for vertex, p in enumerate(assignment.primes, 1):
+        if residue == 1:
+            break
+        if residue % p == 0:
+            members.add(vertex)
+            residue //= p
+    if residue != 1:
+        raise IntegrityError(
+            f"malformed clique id {clique_id}: "
+            f"residue {residue} is not 1: value has divisors outside the basis"
+        )
+    return frozenset(members)

@@ -1,4 +1,4 @@
-"""Prime generation and factoring over a basis.
+"""Prime generation: the first n primes, by sieve.
 
 A squarefree natural number stands in for a finite set of primes: 1 is the
 empty set, multiplying coprime values is disjoint union, gcd is
@@ -7,22 +7,11 @@ solver apply ``*``, ``//``, ``%`` and ``math.gcd`` to them directly; Python's
 arbitrary-precision integers keep that exact at any bit width. Storage is
 not what limits scale: a weight holds one prime per closed neighbor, so a
 10**4-vertex path has 51-bit weights.
-
-``factor_over_basis`` trial-divides the whole basis, O(n) per value. The
-solver does not factor its ids: the enumeration records each id's members
-as it emits the id. Only an id whose recorded members fail their check is
-factored, over the graph's n primes, to name the fault.
 """
 
 import math
-from itertools import count
-from typing import Sequence
 
-__all__ = [
-    "first_n_primes",
-    "is_prime",
-    "factor_over_basis",
-]
+__all__ = ["first_n_primes"]
 
 
 def _sieve(limit: int) -> list[int]:
@@ -55,38 +44,3 @@ def first_n_primes(n: int) -> list[int]:
             return primes[:n]
         bound *= 2
 
-
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in count(3, 2):
-        if d * d > n:
-            return True
-        if n % d == 0:
-            return False
-    raise AssertionError("unreachable")
-
-
-def factor_over_basis(x: int, basis: Sequence[int]) -> set[int]:
-    """Factor squarefree x over an ordered prime basis.
-
-    Returns the unique index set S with x == prod(basis[i] for i in S).
-    Raises ValueError when x has a divisor outside the basis.
-    """
-    if x < 1:
-        raise ValueError(f"value must be >= 1, got {x}")
-    indices = set()
-    for i, p in enumerate(basis):
-        if x == 1:
-            break
-        if x % p == 0:
-            indices.add(i)
-            x //= p
-    if x != 1:
-        raise ValueError(f"residue {x} is not 1: value has divisors outside the basis")
-    return indices

@@ -391,7 +391,7 @@ def drop_contained_ids(ids: Iterable[int]) -> frozenset[int]:
     """Deduplicate and drop ids whose vertex set is contained in another's.
 
     For squarefree ids containment is exactly divisibility, so no
-    assignment is needed. A proper divisor is numerically smaller, which
+    decode is needed. A proper divisor is numerically smaller, which
     bounds the scan.
     """
     ordered = sorted(set(ids))
@@ -406,8 +406,8 @@ def drop_contained_ids(ids: Iterable[int]) -> frozenset[int]:
 def sanitize(raw: Iterable[int], eg: EncodedGraph) -> frozenset[int]:
     """Integrity-check raw ids against the encoding, then prune.
 
-    Every id must decode over the encoding's assignment to a set of
-    pairwise adjacent vertices; otherwise IntegrityError. Duplicates and
+    Every id must decode over the graph's primes to a set of pairwise
+    adjacent vertices; otherwise IntegrityError. Duplicates and
     ids contained in another id are dropped. Meant for literal lists:
     sanitized enumeration already emits only maximal ids.
     """
@@ -438,33 +438,31 @@ def _decode_clique_checked(clique_id: int, eg: EncodedGraph) -> tuple[int, ...]:
 
 
 def solve_graph(
-    g: Graph,
-    assignment: encoding.PrimeAssignment | None = None,
-    *,
-    sanitize: bool = True,
+    g: Graph, *, sanitize: bool = True
 ) -> tuple[dict[int, tuple[int, ...]], SolverStats]:
     """Encode a graph, enumerate, and map each clique id to its vertex ids.
 
-    An id is the product of its members' primes under the assignment (the
-    default one when none is given). Sanitized mode returns each maximal
-    clique once; raw mode returns the literal ids, non-maximal entries
-    included. Both come in emission order, each id with the tuple of vertex
-    ids the enumeration recorded, in the order it recorded them. An id is
-    accepted in O(k) for k members: their primes must multiply to the id,
-    and the id must divide each member's weight. An id whose record fails
-    that test can only come from a fault; it is decoded again by
+    An id is the product of its members' primes, vertex k's being the k-th
+    prime. Sanitized mode returns each maximal clique once; raw mode returns
+    the literal ids, non-maximal entries included. Both come in emission
+    order, each id with the tuple of vertex ids the enumeration recorded, in
+    the order it recorded them. An id is accepted in O(k) for k members:
+    each must be a vertex id 1..n, their primes must multiply to the id, and
+    the id must divide each member's weight. An id whose record fails that
+    test can only come from a fault; it is decoded again by
     ``_decode_clique_checked``, which raises IntegrityError unless the id is
     a clique.
     """
-    eg = encoding.encode(g, assignment)
+    eg = encoding.encode(g)
     cliques, stats = find_cliques(eg, sanitize=sanitize)
-    # Indexed by vertex id; no record names vertex 0.
+    n = g.n
+    # Indexed by vertex id; a member outside 1..n fails the record test.
     values = [0, *(t.value for t in eg.tuples)]
     weights = [0, *(t.weight for t in eg.tuples)]
     for clique_id, members in cliques.items():
         product = 1
         for v in members:
-            if weights[v] % clique_id:
+            if not 0 < v <= n or weights[v] % clique_id:
                 break
             product *= values[v]
         else:

@@ -1,5 +1,6 @@
 """The paper's literal enumeration step, the reference for ``solver.find_cliques``,
-and the plain adjacency, clique and maximality tests the suite checks with.
+and the plain adjacency, clique and maximality tests and the graph decoder
+the suite checks with.
 
 Each popped entry sorts its whole tuple list, merges equal weights and
 partitions the rest around the first tuple with the solver's list helpers,
@@ -13,6 +14,7 @@ the recursion, so it is checked against ``sanitize`` of this output instead.
 from typing import Sequence
 
 from primeclique.encoding import EncodedGraph, Graph, WeightedVertex
+from primeclique.errors import IntegrityError
 from primeclique.solver import (
     SolverStats,
     merge_equal_weights,
@@ -81,3 +83,29 @@ def is_maximal(g: Graph, s: set[int]) -> bool:
         raise ValueError(f"{sorted(s)} is not a clique")
     adj = g.adjacency()
     return not any(s <= adj[v] for v in g.vertices() if v not in s)
+
+
+def decode_graph(eg: EncodedGraph) -> Graph:
+    """Reconstruct the graph from an encoding; inverse of encode().
+
+    Raises IntegrityError when the weights are mutually inconsistent:
+    a value missing from its own weight, or divisibility holding in only
+    one direction between a pair of vertices.
+    """
+    tuples = eg.tuples
+    n = len(tuples)
+    edges = set()
+    for i in range(1, n + 1):
+        value, weight = tuples[i - 1]
+        if weight % value:
+            raise IntegrityError(f"vertex {i}: value does not divide its own weight")
+        for j in range(i + 1, n + 1):
+            ij = tuples[j - 1].weight % value == 0  # the prime of i divides j's weight
+            ji = weight % tuples[j - 1].value == 0
+            if ij != ji:
+                raise IntegrityError(
+                    f"asymmetric adjacency between vertices {i} and {j}"
+                )
+            if ij:
+                edges.add((i, j))
+    return Graph(n, frozenset(edges))

@@ -8,13 +8,12 @@ import csv
 import math
 import time
 
-from _reference import has_edge, is_maximal
+from _reference import decode_graph, has_edge, is_maximal
 from conftest import FIXTURES
 from primeclique.cli import main
-from primeclique.encoding import Graph, decode_graph, encode
+from primeclique.encoding import Graph, decode_clique, encode
 from primeclique.graph_io import gen_complete, gen_gnp, gen_moon_moser, write_dimacs
 from primeclique.oracle import bron_kerbosch, diff
-from primeclique.primes import factor_over_basis
 from primeclique.solver import find_cliques, solve_graph
 
 P_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -124,16 +123,16 @@ def test_criterion_6_encoding_invariants():
     for g in big_corpus():
         eg = encode(g)
         adj = g.adjacency()
-        basis = list(eg.assignment.primes)
+        primes = eg.assignment.primes
         for u in g.vertices():
             value, weight = eg.tuples[u - 1]
             assert weight % value == 0  # closure
-            factors = factor_over_basis(weight, basis)  # squarefree over basis
-            assert math.prod(basis[i] for i in factors) == weight
+            members = decode_clique(weight, eg.assignment)  # squarefree over the primes
+            assert math.prod(primes[w - 1] for w in members) == weight
             for v in range(u + 1, g.n + 1):
                 assert has_edge(eg, u, v) == has_edge(eg, v, u)  # symmetry
                 shared = math.gcd(weight, eg.tuples[v - 1].weight)
-                decoded = {i + 1 for i in factor_over_basis(shared, basis)}
+                decoded = decode_clique(shared, eg.assignment)
                 assert decoded == (adj[u] | {u}) & (adj[v] | {v})
         assert decode_graph(eg) == g
         graphs_checked += 1

@@ -2,21 +2,19 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _reference import has_edge
+from _reference import decode_graph, has_edge
 from _strategies import graphs
-from primeclique import encoding
 from primeclique.encoding import (
     EncodedGraph,
     Graph,
     PrimeAssignment,
     WeightedVertex,
     decode_clique,
-    decode_graph,
     encode,
 )
 from primeclique.errors import IntegrityError
-from primeclique.primes import factor_over_basis, first_n_primes
 
 
 def test_graph_rejects_bad_edges():
@@ -35,19 +33,8 @@ def test_graph_collapses_duplicate_edges():
     assert g.edges == frozenset({(1, 2)})
 
 
-def test_assignment_default_and_validation():
+def test_assignment_default():
     assert PrimeAssignment.default(4).primes == (2, 3, 5, 7)
-    with pytest.raises(ValueError, match="distinct"):
-        PrimeAssignment((2, 2))
-    with pytest.raises(ValueError, match="not prime"):
-        PrimeAssignment((2, 9))
-
-
-def test_default_assignment_equals_a_checked_one():
-    for n in range(61):
-        checked = PrimeAssignment(tuple(first_n_primes(n)))
-        assert PrimeAssignment.default(n) == checked
-        assert hash(PrimeAssignment.default(n)) == hash(checked)
 
 
 def test_encode_p3_weights(p3):
@@ -69,24 +56,6 @@ def test_encode_isolated_vertex():
     assert eg.tuples == (WeightedVertex(2, 2),)
 
 
-def test_encode_requires_full_assignment(p3):
-    with pytest.raises(ValueError, match="covers"):
-        encode(p3, PrimeAssignment((2, 3)))
-
-
-def test_encode_trims_a_longer_assignment_without_rechecking_it(p3, monkeypatch):
-    assignment = PrimeAssignment((7, 3, 11, 5))
-    expected = encode(p3, PrimeAssignment((7, 3, 11)))
-
-    def no_check(p):
-        raise AssertionError(f"{p} checked again")
-
-    monkeypatch.setattr(encoding, "is_prime", no_check)
-    eg = encode(p3, assignment)
-    assert eg == expected
-    assert eg.assignment.primes == (7, 3, 11)
-
-
 def test_has_edge_p3(p3):
     eg = encode(p3)
     assert has_edge(eg, 1, 2)
@@ -97,13 +66,29 @@ def test_has_edge_p3(p3):
 
 def test_decode_clique():
     assert decode_clique(30, PrimeAssignment((2, 3, 5))) == {1, 2, 3}
+    assert decode_clique(30, PrimeAssignment((2, 3, 5, 7))) == {1, 2, 3}
     assert decode_clique(1, PrimeAssignment((2, 3, 5))) == set()
     assert decode_clique(21, PrimeAssignment((2, 3, 5, 7))) == {2, 4}
 
 
 def test_decode_clique_malformed():
-    with pytest.raises(IntegrityError, match="malformed"):
-        decode_clique(22, PrimeAssignment((2, 3, 5)))
+    assignment = PrimeAssignment((2, 3, 5))
+    for bad_id, message in [
+        (22, "malformed clique id 22: residue 11 is not 1"),  # 11 is no vertex's prime
+        (12, "malformed clique id 12: residue 2 is not 1"),  # 2 * 2 * 3, not squarefree
+        (0, "malformed clique id 0: value must be >= 1, got 0"),
+        (-6, "malformed clique id -6: value must be >= 1, got -6"),
+    ]:
+        with pytest.raises(IntegrityError, match=message):
+            decode_clique(bad_id, assignment)
+
+
+BASIS = PrimeAssignment.default(20)
+
+
+@given(st.sets(st.integers(min_value=1, max_value=20)))
+def test_decode_clique_inverts_product(vertices):
+    assert decode_clique(math.prod(BASIS.primes[v - 1] for v in vertices), BASIS) == vertices
 
 
 def test_decode_graph_round_trip(p3, k3):
@@ -136,12 +121,12 @@ def test_encode_symmetry_and_closure(g):
 def test_encode_weights_squarefree_and_track_degree(g):
     eg = encode(g)
     adj = g.adjacency()
-    basis = list(eg.assignment.primes)
+    primes = eg.assignment.primes
     for u in g.vertices():
-        factors = factor_over_basis(eg.tuples[u - 1].weight, basis)
+        members = decode_clique(eg.tuples[u - 1].weight, eg.assignment)
         # residue 1 with one division per prime means squarefree
-        assert math.prod(basis[i] for i in factors) == eg.tuples[u - 1].weight
-        assert len(factors) == len(adj[u]) + 1
+        assert math.prod(primes[v - 1] for v in members) == eg.tuples[u - 1].weight
+        assert len(members) == len(adj[u]) + 1
 
 
 @given(graphs(max_n=12))

@@ -1,10 +1,8 @@
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from primeclique.primes import factor_over_basis, first_n_primes, is_prime
+from primeclique.primes import first_n_primes
 
 
 def trial_division(n: int) -> bool:
@@ -35,31 +33,3 @@ def test_first_n_primes_negative():
     with pytest.raises(ValueError):
         first_n_primes(-1)
 
-
-def test_is_prime_matches_trial_division():
-    for n in range(200):
-        assert is_prime(n) == trial_division(n)
-
-
-def test_factor_over_basis_examples():
-    assert factor_over_basis(30, [2, 3, 5, 7]) == {0, 1, 2}
-    assert factor_over_basis(1, [2, 3, 5]) == set()
-    assert factor_over_basis(21, [2, 3, 5, 7]) == {1, 3}
-
-
-def test_factor_over_basis_residue():
-    with pytest.raises(ValueError, match="residue"):
-        factor_over_basis(22, [2, 3, 5])
-
-
-BASIS = first_n_primes(20)
-index_sets = st.sets(st.integers(min_value=0, max_value=19))
-
-
-def product_of(indices: set[int]) -> int:
-    return math.prod(BASIS[i] for i in indices)
-
-
-@given(index_sets)
-def test_factor_over_basis_inverts_product(a):
-    assert factor_over_basis(product_of(a), BASIS) == a

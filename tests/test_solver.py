@@ -1,7 +1,6 @@
 import hashlib
 import math
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,10 +14,11 @@ from _reference import is_clique, is_maximal, reference_find_cliques
 from _strategies import graphs
 import primeclique
 from primeclique import solver
-from primeclique.encoding import Graph, PrimeAssignment, WeightedVertex, decode_clique, encode
+from primeclique.encoding import Graph, WeightedVertex, decode_clique, encode
 from primeclique.errors import IntegrityError
 from primeclique.graph_io import gen_complete, gen_cycle, gen_gnp, gen_moon_moser, gen_path
 from primeclique.oracle import bron_kerbosch, diff
+from primeclique.primes import first_n_primes
 from primeclique.solver import (
     SolverStats,
     drop_contained_ids,
@@ -204,8 +204,8 @@ def test_sanitize_rejects_non_clique(paw):
 
 
 def test_sanitize_decodes_over_the_graphs_primes_only():
-    # 7 is in the assignment but names no vertex of the 3-vertex path
-    eg = encode(gen_path(3), PrimeAssignment((2, 3, 5, 7)))
+    # 7 is the 4th prime, so it names no vertex of the 3-vertex path
+    eg = encode(gen_path(3))
     assert eg.assignment.primes == (2, 3, 5)
     with pytest.raises(IntegrityError, match="malformed clique id 7: residue 7 is not 1"):
         sanitize([7], eg)
@@ -244,19 +244,15 @@ def test_solve_graph_raw_keeps_emission_order():
 
 
 @pytest.mark.parametrize("sanitized", [True, False])
-@pytest.mark.parametrize("shuffled", [False, True])
-def test_solve_graph_keys_are_the_ids_under_its_assignment(sanitized, shuffled):
+def test_solve_graph_keys_are_the_ids_under_its_assignment(sanitized):
     g = gen_gnp(30, 0.4, seed=9)
-    primes = list(PrimeAssignment.default(g.n).primes)
-    if shuffled:
-        random.Random(3).shuffle(primes)
-    assignment = PrimeAssignment(tuple(primes))
-    cliques, _ = solve_graph(g, assignment, sanitize=sanitized)
+    primes = first_n_primes(g.n)
+    cliques, _ = solve_graph(g, sanitize=sanitized)
     for clique_id, members in cliques.items():
         assert clique_id == math.prod(primes[v - 1] for v in members)
     # keys come in emission order in both modes, which on this graph is not
     # id order
-    ids, _ = find_cliques(encode(g, assignment), sanitize=sanitized)
+    ids, _ = find_cliques(encode(g), sanitize=sanitized)
     assert list(cliques) == list(ids)
     assert list(ids) != sorted(ids)
 
@@ -491,15 +487,23 @@ def test_solve_graph_rejects_a_record_that_is_no_clique(paw, monkeypatch, member
         solve_graph(paw)
 
 
-@given(
-    graphs(max_n=9),
-    st.integers(0, 3),
-    st.booleans(),
-)
+@pytest.mark.parametrize("members", [(-1,), (11,)], ids=["negative", "past-n"])
+def test_solve_graph_redecodes_a_record_naming_no_vertex(monkeypatch, members):
+    # 29 is vertex 10's prime; a member outside 1..10 fails the record test
+    # instead of reading another vertex's entry or past the lists' end
+    def injected(q, *, sanitize=True):
+        ids, stats = find_cliques(q, sanitize=sanitize)
+        return {**ids, 29: members}, stats
+
+    monkeypatch.setattr(solver, "find_cliques", injected)
+    cliques, _ = solve_graph(gen_path(10))
+    assert cliques[29] == (10,)
+
+
+@given(graphs(max_n=9), st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_recorded_members_agree_with_checked_decode(g, extra, sanitized):
-    # an assignment longer than the graph is trimmed to its n primes
-    eg = encode(g, PrimeAssignment.default(g.n + extra))
+def test_recorded_members_agree_with_checked_decode(g, sanitized):
+    eg = encode(g)
     ids, _ = find_cliques(eg, sanitize=sanitized)
     for clique_id, members in ids.items():
         assert len(members) == len(set(members))
