@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from primeclique.encoding import PrimeAssignment, decode_clique
+from primeclique.errors import IntegrityError
 from primeclique.primes import first_n_primes
 
 
@@ -33,3 +35,16 @@ def test_first_n_primes_negative():
     with pytest.raises(ValueError):
         first_n_primes(-1)
 
+
+
+# Factoring an id over a prime basis lives in decode_clique, which returns
+# 1-based vertex ids rather than 0-based basis indices.
+def test_factor_over_basis_examples():
+    assert decode_clique(30, PrimeAssignment((2, 3, 5, 7))) == {1, 2, 3}
+    assert decode_clique(1, PrimeAssignment((2, 3, 5))) == set()
+    assert decode_clique(21, PrimeAssignment((2, 3, 5, 7))) == {2, 4}
+
+
+def test_factor_over_basis_residue():
+    with pytest.raises(IntegrityError, match="residue"):
+        decode_clique(22, PrimeAssignment((2, 3, 5)))
