@@ -49,12 +49,17 @@ vertex. So the divisibility test alone finds those tuples, whether it
 walks ``EncodedGraph.neighbours`` of one pivot vertex or the entry's
 vertex id -> weight dict; a step walks the shorter of the two. The
 pivot side is built fresh, its two dicts and its heap filled in the same
-loop that takes each adjacent tuple out of the entry and classifies it.
-The pivot-free side is the popped entry itself, updated in place: the
-pivot and its neighbours leave, and each case-2 copy comes back under its
-eliminated weight, merging if that weight is taken. A step costs
+loop that takes each adjacent tuple out of the entry and classifies it
+with one gcd: that of its reduced weight and the pivot's is the reduced
+weight itself in case 1 and its pivot-side weight in case 2. The
+pivot-free side is the popped entry itself, updated in place: the pivot
+and its neighbours leave, and each case-2 copy comes back under its
+eliminated weight in the vertex id -> weight slot it kept, or merges into
+the tuple of that weight and gives the slot up. A step costs
 O(min(live tuples, deg) + adjacent tuples · log n) instead of
-O(remainder). An empty side is counted as an entry but never built.
+O(remainder). An empty side is counted as an entry but never built or
+pushed. When the pivot has no live neighbour, the step builds nothing:
+its pivot-free side is the rest of the entry and goes on in place.
 
 Where the paper recurses on both sides, each side becomes an entry with
 ``prefix``, the product of the pivot values whose induced subgraph the
@@ -64,7 +69,7 @@ neighborhood (0, the gcd identity, at the root). Only the pivot-free side
 is pushed on the explicit stack. The pivot side is processed next, without
 a push and a pop, so it is finished before its pivot-free sibling is
 popped and ids come out in the order of the paper's recursion. A pivot
-whose induced subgraph is empty is emitted as a singleton clique, which
+whose induced subgraph is empty is emitted with its entry's prefix, which
 the empty pivot side would otherwise drop. The nesting lives on the stack,
 not in interpreter frames, so no recursion limit applies.
 
@@ -155,7 +160,8 @@ class SolverStats:
 
     @property
     def gcd_calls(self) -> int:
-        """One gcd per case-2 split."""
+        """The case-2 restrictions of the paper's step, one per case-2
+        tuple; not a count of ``math.gcd`` calls."""
         return self.case2_count
 
 
@@ -249,6 +255,7 @@ def find_cliques(
     """
     # Heap keys are -weight, so heap[0] holds the pivot's weight.
     neighbours = eg.neighbours
+    gcd, heappop, heappush = math.gcd, heapq.heappop, heapq.heappush
     # The counters live in locals and reach SolverStats once, at the end.
     merges = splits = adjacent_count = case2 = pruned = 0
 
@@ -258,7 +265,7 @@ def find_cliques(
         common neighbourhood."""
         nonlocal merges
         merges += 1
-        return (kept[0] * other[0], kept[1] + other[1], math.gcd(kept[2], other[2]))
+        return (kept[0] * other[0], kept[1] + other[1], gcd(kept[2], other[2]))
 
     # An entry: weight -> record, merging equal weights; the record's first
     # member -> weight; and the heap of weights.
@@ -282,7 +289,7 @@ def find_cliques(
         # processed right after its split, so it never goes on the stack.
         while True:
             while heap:
-                pivot_weight = -heapq.heappop(heap)
+                pivot_weight = -heappop(heap)
                 if pivot_weight in tuples:  # else removed since it was pushed
                     break
             else:
@@ -293,26 +300,29 @@ def find_cliques(
             pivot_value, pivot_members, pivot_common = tuples.pop(pivot_weight)
             pivot_vertex = pivot_members[0]
             del weight_of[pivot_vertex]
-            inner = math.gcd(common, pivot_common)
-            # The members of prefix * pivot_value: the pivot side's, and the
-            # clique's if the pivot is emitted here.
-            inner_members = members + pivot_members
+            inner = gcd(common, pivot_common)
+            adjacent = ()
             if tuples:
                 splits += 1
+                # Sanitized, the first split of an unguarded entry makes the
+                # pivot's vertex its guard: the heap then holds only free tuples.
+                if sanitize and not guard:
+                    guard = eg.tuples[pivot_vertex - 1].value
                 # Every vertex of a tuple adjacent to the pivot is an input
                 # neighbour of each pivot vertex, and weight_of holds one
                 # vertex per live tuple, so either sequence finds each
                 # adjacent tuple once under the same test: walk the shorter.
                 walk = neighbours[pivot_vertex - 1]
                 if len(weight_of) < len(walk):
-                    walk = weight_of
-                adjacent = [
-                    (v, weight)
-                    for v in walk
-                    if (weight := weight_of.get(v)) is not None and weight % pivot_value == 0
-                ]
+                    adjacent = [(v, w) for v, w in weight_of.items() if not w % pivot_value]
+                else:
+                    adjacent = [
+                        (v, w) for v in walk if (w := weight_of.get(v)) and not w % pivot_value
+                    ]
+            if adjacent:
                 adjacent_count += len(adjacent)
-                # The pivot side is built as its tuples leave the entry.
+                # The pivot side is built as its tuples leave the entry; a
+                # tuple is case 1 when its reduced weight divides the pivot's.
                 side: dict[int, Record] = {}
                 side_of: dict[int, int] = {}
                 side_heap = []
@@ -320,60 +330,59 @@ def find_cliques(
                 case1 = 1
                 for v, weight in adjacent:
                     record = tuples.pop(weight)
-                    del weight_of[v]
                     reduced = weight // pivot_value
-                    if pivot_weight % reduced == 0:
+                    inside = gcd(pivot_weight, reduced)
+                    if inside == reduced:
                         case1 *= record[0]
+                        del weight_of[v]
                     else:
-                        copies.append((reduced, record))
-                        reduced = math.gcd(pivot_weight, reduced)
-                    if reduced in side:
-                        side[reduced] = merge(side[reduced], record)
+                        copies.append((v, reduced, record))
+                    if inside in side:
+                        side[inside] = merge(side[inside], record)
                     else:
-                        side[reduced] = record
-                        side_of[v] = reduced
-                        side_heap.append(-reduced)
+                        side[inside] = record
+                        side_of[v] = inside
+                        side_heap.append(-inside)
                 case2 += len(copies)
                 # The popped entry becomes the pivot-free side: the pivot and
                 # its neighbours are out, and each case-2 copy comes back under
-                # its weight with the case-1 values divided out. Sanitized, the
-                # first split of an unguarded entry makes the pivot's vertex
-                # its guard, and its heap then holds only the tuples free of it.
-                if sanitize and not guard:
-                    guard = eg.tuples[pivot_vertex - 1].value
-                for weight, record in copies:
+                # its weight with the case-1 values divided out, in the
+                # weight_of slot it kept unless it merges.
+                for v, weight, record in copies:
                     if case1 != 1:
-                        weight //= math.gcd(weight, case1)
+                        weight //= gcd(weight, case1)
                     free = not guard or record[2] % guard
                     if weight in tuples:
                         other = tuples[weight]
                         tuples[weight] = merge(other, record)
+                        del weight_of[v]
                         # A free tuple is in the heap already; a flagged one
                         # goes in when a free copy joins it.
                         free = guard and free and not other[2] % guard
                     else:
                         tuples[weight] = record
-                        weight_of[record[1][0]] = weight
+                        weight_of[v] = weight
                     if free:
-                        heapq.heappush(heap, -weight)
+                        heappush(heap, -weight)
                 # The pivot-free side waits on the stack for the whole pivot
                 # side, so ids come out in the order of the paper's recursion.
                 if tuples:
                     stack.append((tuples, weight_of, heap, prefix, common, members, guard))
-                if side:
-                    heapq.heapify(side_heap)
-                    tuples, weight_of, heap = side, side_of, side_heap
-                    prefix *= pivot_value
-                    common = inner
-                    members = inner_members
-                    guard = 0
-                    continue
-                # An isolated pivot forms its own maximal clique; the empty
-                # pivot side would silently lose it.
+                heapq.heapify(side_heap)
+                tuples, weight_of, heap = side, side_of, side_heap
+                prefix *= pivot_value
+                common = inner
+                members += pivot_members
+                guard = 0
+                continue
+            # The pivot side is empty, so the pivot forms its own clique here,
+            # which the empty side would silently lose. The pivot-free side
+            # is the rest of this entry, unchanged: it goes on in place.
             clique_id = prefix * pivot_value
             if not sanitize or inner == clique_id:
-                emitted[clique_id] = inner_members
-            break
+                emitted[clique_id] = members + pivot_members
+            if not tuples:
+                break
     # Every weight the enumeration forms divides an input weight (partition
     # divides or takes a gcd, elimination divides), so the input is widest.
     max_weight_bits = max((t.weight.bit_length() for t in eg.tuples), default=0)
@@ -461,7 +470,8 @@ def solve_graph(
     weights = [0, *(t.weight for t in eg.tuples)]
     for clique_id, members in cliques.items():
         product = 1
-        for v in members:
+        # An id below 1 tests no member and falls back.
+        for v in members if clique_id > 0 else ():
             if not 0 < v <= n or weights[v] % clique_id:
                 break
             product *= values[v]

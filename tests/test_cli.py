@@ -196,6 +196,18 @@ def test_solve_integrity_failure_exits_3(monkeypatch, capsys):
     assert "integrity error" in capsys.readouterr().err
 
 
+def test_solve_record_with_id_0_exits_3(monkeypatch, capsys):
+    real = solver.find_cliques
+
+    def corrupted(q, *, sanitize=True):
+        out, stats = real(q, sanitize=sanitize)
+        return {**out, 0: (1,)}, stats
+
+    monkeypatch.setattr(solver, "find_cliques", corrupted)
+    assert main(["solve", "--input", P3]) == 3
+    assert "malformed clique id 0: value must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_bench_complete_matrix(tmp_path):
     spec = tmp_path / "spec.txt"
     spec.write_text(

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference import is_clique, is_maximal, reference_find_cliques
-from _strategies import graphs
+from _strategies import graphs, twin_blowups
 import primeclique
 from primeclique import solver
 from primeclique.encoding import Graph, WeightedVertex, decode_clique, encode
@@ -357,6 +357,19 @@ def test_find_cliques_takes_the_literal_steps(g):
     assert_matches_reference(g)
 
 
+@given(twin_blowups())
+@settings(max_examples=150, deadline=None)
+def test_twin_blowups_match_bron_kerbosch_and_the_literal_steps(g):
+    # up to 40 vertices; twins merge on both sides of a split
+    eg = encode(g)
+    exact, _ = find_cliques(eg)
+    expected = bron_kerbosch(g)
+    assert len(exact) == len(expected)
+    assert set(map(frozenset, exact.values())) == set(expected)
+    raw, stats = find_cliques(eg, sanitize=False)
+    assert (list(raw), stats) == reference_find_cliques(eg.tuples)
+
+
 REFERENCE_GRAPHS = {
     "star_1_199": lambda: Graph.from_edges(200, [(1, v) for v in range(2, 201)]),
     "k30_pendants": lambda: complete_with_pendants(30),
@@ -409,6 +422,17 @@ SWEEP = (
 )
 
 
+def star(n: int) -> Graph:
+    """K_{1,n-1}: hub 1 joined to every other vertex."""
+    return Graph.from_edges(n, [(1, v) for v in range(2, n + 1)])
+
+
+def wheel(n: int) -> Graph:
+    """Hub 1 joined to every vertex of the cycle 2..n."""
+    rim = [(v, v + 1) for v in range(2, n)] + [(2, n)]
+    return Graph.from_edges(n, [(1, v) for v in range(2, n + 1)] + rim)
+
+
 def _no_checked_decode(clique_id, eg):
     raise AssertionError(f"id {clique_id} was not accepted from its recorded members")
 
@@ -418,7 +442,13 @@ def test_sweep_matches_bron_kerbosch(family, n, p):
     if family == "gnp":
         g = gen_gnp(n, p, seed=1000 + n)
     else:
-        g = {"moon-moser": gen_moon_moser, "path": gen_path, "cycle": gen_cycle}[family](n)
+        g = {
+            "moon-moser": gen_moon_moser,
+            "path": gen_path,
+            "cycle": gen_cycle,
+            "star": star,
+            "wheel": wheel,
+        }[family](n)
     expected = bron_kerbosch(g)
     # every id must be accepted from the members the enumeration recorded
     with patch.object(solver, "_decode_clique_checked", _no_checked_decode):
@@ -427,10 +457,11 @@ def test_sweep_matches_bron_kerbosch(family, n, p):
     assert set(map(frozenset, cliques.values())) == set(expected)
 
 
-# Larger graphs for the same check, about 8 s together in CPython 3.11
-# (gnp(80, .7) about 3.8 s and gnp(100, .6) about 3.1 s, each with
-# Bron–Kerbosch; a path or cycle of 10^4 about 0.2 s): run with
-# ``pytest -m slow``.
+# Larger graphs for the same check, about 10 s together in CPython 3.11
+# (gnp(80, .7) about 3.2 s and gnp(100, .6) about 2.5 s, each with
+# Bron–Kerbosch; a path or cycle of 10^4 about 0.1 s; the star K_{1,9999}
+# about 1.2 s and the wheel of 10^4 about 2.4 s, where a split walks the
+# hub's neighbour list): run with ``pytest -m slow``.
 SLOW_SWEEP = [
     ("gnp", 80, 0.7),
     ("gnp", 100, 0.6),
@@ -440,6 +471,8 @@ SLOW_SWEEP = [
     ("cycle", 3000, None),
     ("path", 10_000, None),
     ("cycle", 10_000, None),
+    ("star", 10_000, None),
+    ("wheel", 10_000, None),
 ]
 
 
@@ -498,6 +531,17 @@ def test_solve_graph_redecodes_a_record_naming_no_vertex(monkeypatch, members):
     monkeypatch.setattr(solver, "find_cliques", injected)
     cliques, _ = solve_graph(gen_path(10))
     assert cliques[29] == (10,)
+
+
+def test_solve_graph_redecodes_a_record_with_id_0(monkeypatch):
+    # no weight is divided by the id: the checked decode rejects it
+    def injected(q, *, sanitize=True):
+        ids, stats = find_cliques(q, sanitize=sanitize)
+        return {**ids, 0: (1,)}, stats
+
+    monkeypatch.setattr(solver, "find_cliques", injected)
+    with pytest.raises(IntegrityError, match="malformed clique id 0: value must be >= 1, got 0"):
+        solve_graph(gen_path(10))
 
 
 @given(graphs(max_n=9), st.booleans())
