@@ -85,8 +85,10 @@ maximal exactly when the gcd of its members' input weights equals its
 id. One gcd per step, of the entry's ``common`` with the pivot record's,
 gives the common neighborhood of ``prefix * pivot.value``.
 Sanitized enumeration emits that id only when the two are equal, so it
-emits every maximal clique exactly once; ``sanitize`` stays the
-integrity check and prune for literal lists.
+emits every maximal clique exactly once. The members form a clique exactly
+when the id divides that gcd, so raw mode checks each id with one ``%``
+and sends a failure, only a fault's, to the raising checked decode.
+``sanitize`` stays the integrity check and prune for literal lists.
 
 Sanitized enumeration also prunes whole entries, with Bron and Kerbosch's
 excluded set (CACM 1973) cut down to one vertex, the guard, used the way
@@ -251,7 +253,9 @@ def find_cliques(
     graphs and its ids, the maximal ones among the raw ids, come in another
     order with other stats. The members of an id form a set: their order in
     its tuple, and which vertex stands for a merged tuple inside the
-    enumeration, follow the walk and are not part of the result.
+    enumeration, follow the walk and are not part of the result. A raw id
+    whose members' common neighbourhood it does not divide is no clique,
+    which only a fault in ``eg`` makes: it raises IntegrityError.
     """
     # Heap keys are -weight, so heap[0] holds the pivot's weight.
     neighbours = eg.neighbours
@@ -378,9 +382,14 @@ def find_cliques(
             # The pivot side is empty, so the pivot forms its own clique here,
             # which the empty side would silently lose. The pivot-free side
             # is the rest of this entry, unchanged: it goes on in place.
+            # Equal to inner means maximal; dividing it means a clique.
             clique_id = prefix * pivot_value
             if not sanitize or inner == clique_id:
-                emitted[clique_id] = members + pivot_members
+                emitted[clique_id] = (
+                    members + pivot_members
+                    if sanitize or not inner % clique_id
+                    else _decode_clique_checked(clique_id, eg)
+                )
             if not tuples:
                 break
     # Every weight the enumeration forms divides an input weight (partition
@@ -436,9 +445,11 @@ def _decode_clique_checked(clique_id: int, eg: EncodedGraph) -> tuple[int, ...]:
     members = sorted(encoding.decode_clique(clique_id, eg.assignment))
     tuples = eg.tuples
     if any(tuples[v - 1].weight % clique_id for v in members):
-        # Name the first non-adjacent pair (a, b), a < b.
+        # Name a non-adjacent pair, the smaller vertex first; on a symmetric
+        # encoding it is the first such pair (a, b), a < b.
         a = min(v for v in members if tuples[v - 1].weight % clique_id)
         b = min(v for v in members if tuples[a - 1].weight % tuples[v - 1].value)
+        a, b = sorted((a, b))
         raise IntegrityError(
             f"id {clique_id} decodes to a non-clique: "
             f"vertices {a} and {b} are not adjacent"
@@ -455,28 +466,10 @@ def solve_graph(
     prime. Sanitized mode returns each maximal clique once; raw mode returns
     the literal ids, non-maximal entries included. Both come in emission
     order, each id with the tuple of vertex ids the enumeration recorded, in
-    the order it recorded them. An id is accepted in O(k) for k members:
-    each must be a vertex id 1..n, their primes must multiply to the id, and
-    the id must divide each member's weight. An id whose record fails that
-    test can only come from a fault; it is decoded again by
-    ``_decode_clique_checked``, which raises IntegrityError unless the id is
-    a clique.
+    the order it recorded them. The clique check runs at each emission in
+    ``find_cliques``, on the gcd it carries, not as a pass over the members.
+    So it is not independent: a bug in how ids, members or that gcd are
+    carried could fool it. The tests check every record against the
+    encoding, and Bron–Kerbosch and the literal reference stay the oracle.
     """
-    eg = encoding.encode(g)
-    cliques, stats = find_cliques(eg, sanitize=sanitize)
-    n = g.n
-    # Indexed by vertex id; a member outside 1..n fails the record test.
-    values = [0, *(t.value for t in eg.tuples)]
-    weights = [0, *(t.weight for t in eg.tuples)]
-    for clique_id, members in cliques.items():
-        product = 1
-        # An id below 1 tests no member and falls back.
-        for v in members if clique_id > 0 else ():
-            if not 0 < v <= n or weights[v] % clique_id:
-                break
-            product *= values[v]
-        else:
-            if product == clique_id:
-                continue
-        cliques[clique_id] = _decode_clique_checked(clique_id, eg)
-    return cliques, stats
+    return find_cliques(encoding.encode(g), sanitize=sanitize)

@@ -9,12 +9,16 @@ steps through the pivot's neighbour list and must give the same ids, in the
 same order, with the same ``SolverStats``; it also records each id's
 members, which this reference leaves to be decoded. Sanitized mode prunes
 the recursion, so it is checked against ``sanitize`` of this output instead.
+``assert_records_hold`` checks each recorded member list against the
+encoding, a check the solver does not run.
 """
 
-from typing import Sequence
+import math
+from typing import Mapping, Sequence
 
 from primeclique.encoding import EncodedGraph, Graph, WeightedVertex
 from primeclique.errors import IntegrityError
+from primeclique.primes import first_n_primes
 from primeclique.solver import (
     SolverStats,
     merge_equal_weights,
@@ -51,6 +55,24 @@ def reference_find_cliques(q: Sequence[WeightedVertex]) -> tuple[list[int], Solv
             # pivot side would silently lose it.
         emitted.append(prefix * pivot.value)
     return emitted, stats
+
+
+def assert_records_hold(cliques: Mapping[int, Sequence[int]], eg: EncodedGraph) -> None:
+    """Assert that each id's recorded members are distinct vertex ids 1..n,
+    that their k-th primes multiply to the id, and that the id divides each
+    member's input weight, so the members are pairwise adjacent."""
+    tuples = eg.tuples
+    n = len(tuples)
+    primes = first_n_primes(n)
+    for clique_id, members in cliques.items():
+        assert len(set(members)) == len(members), f"id {clique_id}: repeated member in {members}"
+        assert all(1 <= v <= n for v in members), f"id {clique_id}: {members} names no vertex"
+        assert math.prod(primes[v - 1] for v in members) == clique_id, (
+            f"id {clique_id}: the primes of {members} multiply to another id"
+        )
+        assert not any(tuples[v - 1].weight % clique_id for v in members), (
+            f"id {clique_id}: not every member of {members} is adjacent to the rest"
+        )
 
 
 def has_edge(eg: EncodedGraph, i: int, j: int) -> bool:

@@ -1,9 +1,13 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Graph generators shared by the test modules: Hypothesis strategies, and a
+seeded Barabási–Albert generator and a sparse G(n, p) for the slow sweep."""
+
+import math
 
 from hypothesis import strategies as st
 from hypothesis.strategies import composite
 
 from primeclique.encoding import Graph
+from primeclique.graph_io import SplitMix64
 
 
 @composite
@@ -45,3 +49,57 @@ def twin_blowups(draw, min_base: int = 5, max_base: int = 20, max_n: int = 40):
     label = list(range(1, n + 1))
     rng.shuffle(label)
     return Graph.from_edges(n, [(label[a - 1], label[b - 1]) for a, b in edges])
+
+
+def barabasi_albert(n: int, m: int, seed: int, hub: int = 0) -> Graph:
+    """Preferential attachment (Barabási and Albert, Science 1999), seeded
+    from SplitMix64 so the graph is the same on every platform.
+
+    Vertices 1..m+1 form a clique; each later vertex joins m distinct earlier
+    ones, each drawn with probability proportional to its degree. With
+    ``hub``, one more vertex, n + 1, joins ``hub`` distinct vertices of 1..n
+    drawn uniformly, a planted hub of degree ``hub``.
+    """
+    rng = SplitMix64(seed)
+    edges = [(u, v) for u in range(1, m + 2) for v in range(u + 1, m + 2)]
+    # Each vertex appears here once per edge end, so a uniform draw from the
+    # list picks a vertex in proportion to its degree.
+    ends = [v for edge in edges for v in edge]
+    for v in range(m + 2, n + 1):
+        targets: set[int] = set()
+        while len(targets) < m:
+            targets.add(ends[rng.next_u64() % len(ends)])
+        for u in targets:
+            edges.append((u, v))
+            ends += (u, v)
+    if not hub:
+        return Graph.from_edges(n, edges)
+    spokes: set[int] = set()
+    while len(spokes) < hub:
+        spokes.add(1 + rng.next_u64() % n)
+    return Graph.from_edges(n + 1, edges + [(u, n + 1) for u in spokes])
+
+
+def sparse_gnp(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) in time linear in its edges, seeded from SplitMix64.
+
+    Batagelj and Brandes' skip (Phys. Rev. E 71, 2005): the gap to the next
+    edge, in the order of pairs (u, v), u < v, by v then u, is geometric, so
+    one draw per edge finds it. ``graph_io.gen_gnp`` draws once per pair,
+    which at n = 2·10^4 takes minutes. The two give different graphs.
+    Needs 0 < p < 1.
+    """
+    rng = SplitMix64(seed)
+    log_q = math.log1p(-p)
+    edges = []
+    # 0-based: the pair (u, v) has u < v; u runs up to v - 1, then v moves on.
+    v, u = 1, -1
+    while v < n:
+        r = (rng.next_u64() >> 11) / (1 << 53)
+        u += 1 + int(math.log1p(-r) / log_q)
+        while u >= v and v < n:
+            u -= v
+            v += 1
+        if v < n:
+            edges.append((u + 1, v + 1))
+    return Graph(n, frozenset(edges))

@@ -11,12 +11,12 @@ import pytest
 
 from conftest import FIXTURES
 import primeclique
-from primeclique import solver
+from primeclique import encoding, solver
 from primeclique.cli import main
 from primeclique.encoding import Graph
 from primeclique.graph_io import gen_gnp, gen_moon_moser, parse_dimacs, write_dimacs
 from primeclique.oracle import bron_kerbosch
-from test_solver import raw_extras_graph
+from test_solver import ASYMMETRIC, asymmetric_encoding, raw_extras_graph
 
 P3 = str(FIXTURES / "p3.dimacs")
 K3 = str(FIXTURES / "k3.dimacs")
@@ -184,28 +184,15 @@ def test_verify_detects_injected_fault(monkeypatch, capsys):
     assert "missing:" in out
 
 
-def test_solve_integrity_failure_exits_3(monkeypatch, capsys):
-    real = solver.find_cliques
-
-    def corrupted(q, *, sanitize=True):
-        out, stats = real(q, sanitize=sanitize)
-        return {**out, 10: ()}, stats  # {1, 3}: not adjacent in the path fixture
-
-    monkeypatch.setattr(solver, "find_cliques", corrupted)
-    assert main(["solve", "--input", P3]) == 3
-    assert "integrity error" in capsys.readouterr().err
-
-
-def test_solve_record_with_id_0_exits_3(monkeypatch, capsys):
-    real = solver.find_cliques
-
-    def corrupted(q, *, sanitize=True):
-        out, stats = real(q, sanitize=sanitize)
-        return {**out, 0: (1,)}, stats
-
-    monkeypatch.setattr(solver, "find_cliques", corrupted)
-    assert main(["solve", "--input", P3]) == 3
-    assert "malformed clique id 0: value must be >= 1, got 0" in capsys.readouterr().err
+def test_solve_integrity_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a fault in the encoding reaches the raw emission test
+    path = tmp_path / "asym.dimacs"
+    path.write_text(write_dimacs(ASYMMETRIC))
+    monkeypatch.setattr(encoding, "encode", asymmetric_encoding)
+    assert main(["solve", "--input", str(path), "--raw"]) == 3
+    assert capsys.readouterr().err == (
+        "integrity error: id 6 decodes to a non-clique: vertices 1 and 2 are not adjacent\n"
+    )
 
 
 def test_bench_complete_matrix(tmp_path):

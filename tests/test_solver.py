@@ -4,17 +4,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _reference import is_clique, is_maximal, reference_find_cliques
-from _strategies import graphs, twin_blowups
+from _reference import assert_records_hold, is_clique, is_maximal, reference_find_cliques
+from _strategies import barabasi_albert, graphs, sparse_gnp, twin_blowups
 import primeclique
-from primeclique import solver
-from primeclique.encoding import Graph, WeightedVertex, decode_clique, encode
+from primeclique import encoding, solver
+from primeclique.encoding import EncodedGraph, Graph, WeightedVertex, decode_clique, encode
 from primeclique.errors import IntegrityError
 from primeclique.graph_io import gen_complete, gen_cycle, gen_gnp, gen_moon_moser, gen_path
 from primeclique.oracle import bron_kerbosch, diff
@@ -368,6 +367,8 @@ def test_twin_blowups_match_bron_kerbosch_and_the_literal_steps(g):
     assert set(map(frozenset, exact.values())) == set(expected)
     raw, stats = find_cliques(eg, sanitize=False)
     assert (list(raw), stats) == reference_find_cliques(eg.tuples)
+    assert_records_hold(exact, eg)
+    assert_records_hold(raw, eg)
 
 
 REFERENCE_GRAPHS = {
@@ -437,31 +438,43 @@ def _no_checked_decode(clique_id, eg):
     raise AssertionError(f"id {clique_id} was not accepted from its recorded members")
 
 
+def sweep_graph(family: str, n: int, p: float | None) -> Graph:
+    """The graph a sweep entry names; p is gnp's edge probability."""
+    if family == "gnp":
+        return gen_gnp(n, p, seed=1000 + n)
+    if family == "sparse-gnp":
+        return sparse_gnp(n, p, seed=1000 + n)
+    return {
+        "moon-moser": gen_moon_moser,
+        "path": gen_path,
+        "cycle": gen_cycle,
+        "star": star,
+        "wheel": wheel,
+        "ba": lambda n: barabasi_albert(n, 3, seed=n),
+        # BA(n, 3) plus vertex n + 1 joined to half of the others
+        "ba-hub": lambda n: barabasi_albert(n, 3, seed=n, hub=n // 2),
+    }[family](n)
+
+
 @pytest.mark.parametrize("family, n, p", SWEEP)
 def test_sweep_matches_bron_kerbosch(family, n, p):
-    if family == "gnp":
-        g = gen_gnp(n, p, seed=1000 + n)
-    else:
-        g = {
-            "moon-moser": gen_moon_moser,
-            "path": gen_path,
-            "cycle": gen_cycle,
-            "star": star,
-            "wheel": wheel,
-        }[family](n)
+    g = sweep_graph(family, n, p)
     expected = bron_kerbosch(g)
-    # every id must be accepted from the members the enumeration recorded
-    with patch.object(solver, "_decode_clique_checked", _no_checked_decode):
-        cliques, _ = solve_graph(g)
+    cliques, _ = solve_graph(g)
     assert len(cliques) == len(expected)
     assert set(map(frozenset, cliques.values())) == set(expected)
+    # the solver checks no record after emitting it; this does
+    assert_records_hold(cliques, encode(g))
 
 
-# Larger graphs for the same check, about 10 s together in CPython 3.11
-# (gnp(80, .7) about 3.2 s and gnp(100, .6) about 2.5 s, each with
-# Bron–Kerbosch; a path or cycle of 10^4 about 0.1 s; the star K_{1,9999}
-# about 1.2 s and the wheel of 10^4 about 2.4 s, where a split walks the
-# hub's neighbour list): run with ``pytest -m slow``.
+# Larger graphs for the same check, about 20 s together in CPython 3.11 on
+# a shared 2-core host, each time with Bron–Kerbosch and the record check:
+# gnp(80, .7) about 4.8 s and gnp(100, .6) about 3.4 s; a path or cycle of
+# 10^4 about 0.2 s; the star K_{1,9999} about 1.4 s and the wheel of 10^4
+# about 2.8 s, where a split walks the hub's neighbour list; BA(3·10^4, 3)
+# about 3.1 s (its solve alone 0.9 s); the sparse G(2·10^4, 3/n) about
+# 0.9 s; and BA(10^4, 3) with a vertex of degree 5000 about 1.6 s. Run with
+# ``pytest -m slow``.
 SLOW_SWEEP = [
     ("gnp", 80, 0.7),
     ("gnp", 100, 0.6),
@@ -473,6 +486,9 @@ SLOW_SWEEP = [
     ("cycle", 10_000, None),
     ("star", 10_000, None),
     ("wheel", 10_000, None),
+    ("ba", 30_000, None),
+    ("sparse-gnp", 20_000, 3 / 20_000),
+    ("ba-hub", 10_000, None),
 ]
 
 
@@ -492,56 +508,40 @@ def test_slow_sweep_matches_bron_kerbosch(family, n, p):
     ],
 )
 @pytest.mark.parametrize("sanitized", [True, False])
-def test_solve_graph_rejects_injected_ids(paw, monkeypatch, bad_id, message, sanitized):
-    # an id the enumeration never emitted comes with no members
-    def injected(q, *, sanitize=True):
-        ids, stats = find_cliques(q, sanitize=sanitize)
-        return {**ids, bad_id: ()}, stats
-
-    monkeypatch.setattr(solver, "find_cliques", injected)
+def test_solve_graph_rejects_injected_ids(paw, bad_id, message, sanitized):
+    # solve_graph checks each id where it is emitted, so an id the
+    # enumeration never emitted is added to its list, in either mode, for
+    # sanitize, which runs the same checked decode a faulty raw emission does
+    eg = encode(paw)
+    ids, _ = find_cliques(eg, sanitize=sanitized)
     with pytest.raises(IntegrityError, match=message):
-        solve_graph(paw, sanitize=sanitized)
+        sanitize([*ids, bad_id], eg)
 
 
-@pytest.mark.parametrize(
-    "members",
-    [
-        (1,),  # vertex 2: 35 divides its weight 210, but its prime is 3
-        (2, 3),  # vertices 3 and 4 multiply to 35, which does not divide 30
-    ],
-)
-def test_solve_graph_rejects_a_record_that_is_no_clique(paw, monkeypatch, members):
-    def injected(q, *, sanitize=True):
-        ids, stats = find_cliques(q, sanitize=sanitize)
-        return {**ids, 35: members}, stats
-
-    monkeypatch.setattr(solver, "find_cliques", injected)
-    with pytest.raises(IntegrityError, match="id 35 decodes to a non-clique: vertices 3 and 4"):
-        solve_graph(paw)
+def asymmetric_encoding(g: Graph) -> EncodedGraph:
+    """``encode`` of ``ASYMMETRIC`` with a fault: vertex 1's weight 6 and both
+    neighbour lists join vertices 1 and 2, but vertex 2's weight 105 lacks
+    vertex 1's prime."""
+    eg = encode(g)
+    tuples = list(eg.tuples)
+    tuples[0] = WV(2, 6)
+    return EncodedGraph(tuple(tuples), eg.assignment, ([2], [3, 4, 1], [2], [2]))
 
 
-@pytest.mark.parametrize("members", [(-1,), (11,)], ids=["negative", "past-n"])
-def test_solve_graph_redecodes_a_record_naming_no_vertex(monkeypatch, members):
-    # 29 is vertex 10's prime; a member outside 1..10 fails the record test
-    # instead of reading another vertex's entry or past the lists' end
-    def injected(q, *, sanitize=True):
-        ids, stats = find_cliques(q, sanitize=sanitize)
-        return {**ids, 29: members}, stats
-
-    monkeypatch.setattr(solver, "find_cliques", injected)
-    cliques, _ = solve_graph(gen_path(10))
-    assert cliques[29] == (10,)
+ASYMMETRIC = Graph.from_edges(4, [(2, 3), (2, 4)])
 
 
-def test_solve_graph_redecodes_a_record_with_id_0(monkeypatch):
-    # no weight is divided by the id: the checked decode rejects it
-    def injected(q, *, sanitize=True):
-        ids, stats = find_cliques(q, sanitize=sanitize)
-        return {**ids, 0: (1,)}, stats
-
-    monkeypatch.setattr(solver, "find_cliques", injected)
-    with pytest.raises(IntegrityError, match="malformed clique id 0: value must be >= 1, got 0"):
-        solve_graph(gen_path(10))
+def test_a_fault_in_the_encoding_fails_the_raw_emission_test(monkeypatch):
+    # raw, vertex 1 falls into the pivot side of vertex 2 and comes out as
+    # 6 = {1, 2}; the gcd of their weights, 3, is not divided by 6
+    monkeypatch.setattr(encoding, "encode", asymmetric_encoding)
+    with pytest.raises(
+        IntegrityError, match="id 6 decodes to a non-clique: vertices 1 and 2 are not adjacent"
+    ):
+        solve_graph(ASYMMETRIC, sanitize=False)
+    # sanitized, the maximality test never emits 6
+    cliques, _ = solve_graph(ASYMMETRIC)
+    assert list(cliques.items()) == [(21, (2, 4)), (15, (2, 3))]
 
 
 @given(graphs(max_n=9), st.booleans())
@@ -549,23 +549,26 @@ def test_solve_graph_redecodes_a_record_with_id_0(monkeypatch):
 def test_recorded_members_agree_with_checked_decode(g, sanitized):
     eg = encode(g)
     ids, _ = find_cliques(eg, sanitize=sanitized)
+    assert_records_hold(ids, eg)
     for clique_id, members in ids.items():
-        assert len(members) == len(set(members))
         assert sorted(members) == list(solver._decode_clique_checked(clique_id, eg))
 
 
 def test_recorded_members_decode_cliques_without_the_checked_decode(monkeypatch):
-    # the fallback gives the same sets, so only this shows the records work
+    # only a raw id that fails the emission test reaches the checked decode;
+    # the 129 non-maximal raw ids here pass it like the maximal ones
     g = gen_gnp(40, 0.3, seed=5)
-    monkeypatch.setattr(solver, "_decode_clique_checked", None)
+    monkeypatch.setattr(solver, "_decode_clique_checked", _no_checked_decode)
     cliques, _ = solve_graph(g)
     assert set(map(frozenset, cliques.values())) == set(bron_kerbosch(g))
     assert len(cliques) == len(bron_kerbosch(g))
+    raw, _ = solve_graph(g, sanitize=False)
+    assert len(raw) == len(cliques) + 129
+    assert all(is_clique(g, set(c)) for c in raw.values())
 
 
 def test_solve_graph_keeps_no_state_between_enumerations(monkeypatch):
-    # an enumeration of another graph between A's and its decode must not
-    # change what A's ids decode to
+    # an enumeration of another graph after A's must not change A's result
     a = gen_gnp(30, 0.3, seed=11)
     b = gen_gnp(30, 0.5, seed=12)
     real = solver.find_cliques
@@ -576,10 +579,10 @@ def test_solve_graph_keeps_no_state_between_enumerations(monkeypatch):
         return result
 
     monkeypatch.setattr(solver, "find_cliques", interleaved)
-    monkeypatch.setattr(solver, "_decode_clique_checked", _no_checked_decode)
     cliques, _ = solve_graph(a)
     assert set(map(frozenset, cliques.values())) == set(bron_kerbosch(a))
     assert len(cliques) == len(bron_kerbosch(a))
+    assert_records_hold(cliques, encode(a))
 
 
 def complete_with_pendants(k: int) -> Graph:
