@@ -29,12 +29,12 @@ and its tests expect only the ``prune`` layer to go missing. So they move
 out only once the tracer wraps what the solve path runs.
 
 ``find_cliques`` takes the same steps without the passes (in raw mode;
-sanitized mode also prunes, as the last paragraph says). Each live tuple
-is one immutable record ``(value, members, common)``: ``members`` are its
-vertices' ids (1-based, as in DIMACS), and ``common`` is the gcd of those
-vertices' input weights, their common closed neighborhood. Merging two
-records multiplies their values, joins their members and takes the gcd of
-their ``common``.
+sanitized mode also prunes and peels, as the last two paragraphs say).
+Each live tuple is one immutable record ``(value, members, common)``:
+``members`` are its vertices' ids (1-based, as in DIMACS), and ``common``
+is the gcd of those vertices' input weights, their common closed
+neighborhood. Merging two records multiplies their values, joins their
+members and takes the gcd of their ``common``.
 A tuple's weight changes from entry to entry; its record does not, so a
 pivot side holds the very records it takes out of the entry, and a case-2
 copy carries its record back to the pivot-free side. A stack entry holds
@@ -110,6 +110,31 @@ walks the guard's non-neighbours in weight order, and an entry whose heap
 runs dry holds no maximal clique and is dropped (``SolverStats.pruned``).
 Raw mode has no guard: it is the paper's literal step, and its output
 includes the non-maximal ids a guard would drop.
+
+Before the step, sanitized enumeration peels the low-degree fringe, in the
+smallest-last spirit of Matula and Beck (JACM 1983). A worklist takes every
+vertex with at most 2 unpeeled neighbours: first those of input degree 2 or
+less, by id, then each vertex whose count of unpeeled neighbours falls to
+2. A count only falls, so the peel cascades down paths and trees. A peeled
+vertex v settles the cliques of v and its unpeeled neighbours that hold v.
+They are grown one neighbour u at a time from ``(p_v, w_v, (v,))``: a
+candidate ``(id, g, members)``, ``g`` the gcd of its members' input
+weights, gains ``(id * p_u, gcd(g, w_u), members + (u,))`` where ``p_u``
+divides ``g``. A candidate is emitted iff ``g`` equals its id, the step's
+emission test. A candidate of v holds v and otherwise only vertices peeled
+after v or never, so a maximal clique that holds a peeled vertex is a
+candidate of its first-peeled member alone, and is emitted exactly once.
+The root entry then holds only the unpeeled vertices, the 3-core, with
+their input weights untouched. A peeled vertex stays a prime in its core
+neighbours' weights, not a tuple. It extends a core clique exactly when its
+prime divides the clique's common neighbourhood, so the emission test
+rejects that clique. The prime is no tuple's value, so it changes no
+adjacency test; equal weights still mean twins; and it can only turn a
+case-1 tuple into case 2, which is copied to both sides and so is always
+sound. Sanitized ids come out in that order: the peel's cliques first, in
+worklist order, then the core's, in the order of the paper's recursion.
+Raw mode does not peel: it stays the paper's literal step, ids, order and
+stats.
 """
 
 import heapq
@@ -144,7 +169,9 @@ class SolverStats:
     """Counters probing the enumeration's shape and the encoding's growth.
 
     ``pruned`` counts the guarded entries dropped because every tuple left
-    in them was adjacent to their guard; it is 0 in raw mode.
+    in them was adjacent to their guard, and ``peeled`` the vertices settled
+    before the step, with at most 2 unpeeled neighbours each; both are 0 in
+    raw mode.
     """
 
     merges: int = 0
@@ -153,6 +180,7 @@ class SolverStats:
     case2_count: int = 0
     max_weight_bits: int = 0
     pruned: int = 0
+    peeled: int = 0
 
     @property
     def recursive_calls(self) -> int:
@@ -248,12 +276,14 @@ def find_cliques(
     step built from ``sort_by_weight``, ``merge_equal_weights``,
     ``partition_by_pivot`` and ``eliminate_case1_from_right``; a step here
     walks the shorter of the entry's live tuples and the pivot's degree,
-    not the whole remainder. Sanitized, the guard (module docstring) picks
-    other pivots and drops entries, so the run takes fewer steps on dense
-    graphs and its ids, the maximal ones among the raw ids, come in another
-    order with other stats. The members of an id form a set: their order in
-    its tuple, and which vertex stands for a merged tuple inside the
-    enumeration, follow the walk and are not part of the result. A raw id
+    not the whole remainder. Sanitized, the peel (module docstring) settles
+    the vertices of at most 2 unpeeled neighbours first and emits their
+    cliques before the step runs on the rest, and the guard picks other
+    pivots and drops entries, so the run takes fewer steps on sparse and
+    dense graphs and its ids, the maximal ones among the raw ids, come in
+    another order with other stats. The members of an id form a set: their
+    order in its tuple, and which vertex stands for a merged tuple inside
+    the enumeration, follow the walk and are not part of the result. A raw id
     whose members' common neighbourhood it does not divide is no clique,
     which only a fault in ``eg`` makes: it raises IntegrityError.
     """
@@ -271,11 +301,45 @@ def find_cliques(
         merges += 1
         return (kept[0] * other[0], kept[1] + other[1], gcd(kept[2], other[2]))
 
+    emitted: dict[int, tuple[int, ...]] = {}
+    # Sanitized, the peel (module docstring) settles each vertex with at most
+    # 2 unpeeled neighbours, in worklist order, before the step runs.
+    peel: list[int] = []
+    settled = bytearray(len(eg.tuples))
+    if sanitize:
+        remaining = [len(walk) for walk in neighbours]
+        peel = [v for v, degree in enumerate(remaining, 1) if degree <= 2]
+        for v in peel:
+            settled[v - 1] = 1
+            p_v, w_v = eg.tuples[v - 1]
+            candidates = [(p_v, w_v, (v,))]
+            for u in neighbours[v - 1]:
+                if settled[u - 1]:
+                    continue
+                remaining[u - 1] -= 1
+                if remaining[u - 1] == 2:
+                    peel.append(u)
+                # Names of their own: before Python 3.12, a name this
+                # comprehension reads is a cell of the whole function, slower
+                # to reach in the step's loop below.
+                p_u, w_u = eg.tuples[u - 1]
+                candidates += [
+                    (clique_id * p_u, gcd(inner, w_u), members + (u,))
+                    for clique_id, inner, members in candidates
+                    if not inner % p_u
+                ]
+            for clique_id, inner, members in candidates:
+                if inner == clique_id:
+                    emitted[clique_id] = members
+
     # An entry: weight -> record, merging equal weights; the record's first
-    # member -> weight; and the heap of weights.
+    # member -> weight; and the heap of weights. The root holds the
+    # unpeeled vertices.
     tuples: dict[int, Record] = {}
     weight_of: dict[int, int] = {}
     for vertex, (value, weight) in enumerate(eg.tuples, 1):
+        if settled[vertex - 1]:
+            continue
         record = (value, (vertex,), weight)
         if weight in tuples:
             tuples[weight] = merge(tuples[weight], record)
@@ -284,7 +348,6 @@ def find_cliques(
             weight_of[vertex] = weight
     heap = [-weight for weight in tuples]
     heapq.heapify(heap)
-    emitted: dict[int, tuple[int, ...]] = {}
     # The last field is the entry's guard (module docstring), 0 until set.
     stack = [(tuples, weight_of, heap, 1, 0, (), 0)] if tuples else []
     while stack:
@@ -402,6 +465,7 @@ def find_cliques(
         case2_count=case2,
         max_weight_bits=max_weight_bits,
         pruned=pruned,
+        peeled=len(peel),
     )
 
 
@@ -466,7 +530,9 @@ def solve_graph(
     prime. Sanitized mode returns each maximal clique once; raw mode returns
     the literal ids, non-maximal entries included. Both come in emission
     order, each id with the tuple of vertex ids the enumeration recorded, in
-    the order it recorded them. The clique check runs at each emission in
+    the order it recorded them. Sanitized, that is the peeled vertices'
+    cliques in worklist order, then the core's in the order of the paper's
+    recursion (module docstring). The clique check runs at each emission in
     ``find_cliques``, on the gcd it carries, not as a pass over the members.
     So it is not independent: a bug in how ids, members or that gcd are
     carried could fool it. The tests check every record against the

@@ -51,6 +51,28 @@ def twin_blowups(draw, min_base: int = 5, max_base: int = 20, max_n: int = 40):
     return Graph.from_edges(n, [(label[a - 1], label[b - 1]) for a, b in edges])
 
 
+@composite
+def cores_with_fringe(draw, min_core: int = 5, max_core: int = 30, max_fringe: int = 30):
+    """A G(n, p) core of min_core to max_core vertices, then up to max_fringe
+    more, each joined to 1 to 3 distinct earlier vertices. The vertex ids are
+    then shuffled.
+
+    A fringe vertex of degree 3 or less may be peeled before the paper's step
+    runs, and a core vertex it joins then keeps its prime in its weight.
+    """
+    core = draw(st.integers(min_value=min_core, max_value=max_core))
+    fringe = draw(st.integers(min_value=0, max_value=max_fringe))
+    p = draw(st.sampled_from([0.2, 0.4, 0.6, 0.8]))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = [(u, v) for u in range(1, core + 1) for v in range(u + 1, core + 1) if rng.random() < p]
+    for v in range(core + 1, core + fringe + 1):
+        edges.extend((u, v) for u in rng.sample(range(1, v), rng.randint(1, 3)))
+    n = core + fringe
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    return Graph.from_edges(n, [(label[a - 1], label[b - 1]) for a, b in edges])
+
+
 def barabasi_albert(n: int, m: int, seed: int, hub: int = 0) -> Graph:
     """Preferential attachment (Barabási and Albert, Science 1999), seeded
     from SplitMix64 so the graph is the same on every platform.

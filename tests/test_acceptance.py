@@ -95,11 +95,23 @@ def test_criterion_3_oracle_equality(tmp_path):
 def test_criterion_4_complete_graph_collapse():
     start = time.perf_counter()
     for n in (2, 4, 8, 16, 32, 64):
-        ids, stats = find_cliques(encode(gen_complete(n)))
+        eg = encode(gen_complete(n))
+        # raw mode is the paper's literal step
+        ids, stats = find_cliques(eg, sanitize=False)
         assert len(ids) == 1
         assert stats.recursive_calls == 1, n
         assert stats.merges == n - 1, n
         assert stats.pivot_splits == 0, n
+        ids, stats = find_cliques(eg)
+        assert len(ids) == 1
+        if n == 2:
+            # sanitized, both vertices of K_2 settle in the peel, no merge
+            assert (stats.peeled, stats.merges, stats.pivot_splits) == (2, 0, 0)
+            continue
+        assert stats.recursive_calls == 1, n
+        assert stats.merges == n - 1, n
+        assert stats.pivot_splits == 0, n
+        assert stats.peeled == 0, n
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(f"ACCEPTANCE 4: PASS complete graphs collapse in one call ({elapsed:.3f}s)")

@@ -115,13 +115,13 @@ def test_solve_stats_file(tmp_path, capsys):
         line.split("=", 1) for line in stats_path.read_text().splitlines()
     )
     assert float(fields.pop("wall_ms")) >= 0.0
-    # P3's pivot 2 takes 1 and 3 into its subgraph as case-1 tuples, and no
-    # entry is left with only neighbours of its guard
+    # every vertex of P3 has at most 2 neighbours, so the peel settles all
+    # three and the step never splits
     assert list(fields.items()) == [
         ("family", "file"), ("n", "3"), ("p", ""), ("seed", ""),
-        ("recursive_calls", "5"), ("merges", "0"), ("pivot_splits", "2"), ("gcd_calls", "0"),
+        ("recursive_calls", "1"), ("merges", "0"), ("pivot_splits", "0"), ("gcd_calls", "0"),
         ("max_weight_bits", "5"), ("clique_count", "2"),
-        ("case1_count", "2"), ("case2_count", "0"), ("pruned", "0"),
+        ("case1_count", "0"), ("case2_count", "0"), ("pruned", "0"), ("peeled", "3"),
     ]
     spec = tmp_path / "spec.txt"
     spec.write_text("gnp n=12 p=0.5 seed=3 verify=true\n")
@@ -131,7 +131,7 @@ def test_solve_stats_file(tmp_path, capsys):
     wall = header.split(",").index("wall_ms")
     row = row.split(",")
     assert float(row.pop(wall)) >= 0.0
-    assert row == "gnp,12,0.5,3,39,5,19,25,31,13,true,11,25,1".split(",")
+    assert row == "gnp,12,0.5,3,39,5,19,25,31,13,true,11,25,1,0".split(",")
 
 
 def test_solve_raw_keeps_nonmaximal(tmp_path, capsys):
@@ -140,11 +140,21 @@ def test_solve_raw_keeps_nonmaximal(tmp_path, capsys):
     stats_path = tmp_path / "stats.txt"
     assert main(["solve", "--input", str(path), "--raw", "--stats", str(stats_path)]) == 0
     assert "2 3" in capsys.readouterr().out.splitlines()
-    assert "pruned=0\n" in stats_path.read_text()
-    # sanitized, the guard of vertex 1 drops the entry that held {2, 3}
+    assert "pruned=0\npeeled=0\n" in stats_path.read_text()
+    # sanitized, the peel settles all 7 vertices and never emits {2, 3},
+    # which vertex 1 extends
     assert main(["solve", "--input", str(path), "--stats", str(stats_path)]) == 0
     assert "2 3" not in capsys.readouterr().out.splitlines()
-    assert "pruned=1\n" in stats_path.read_text()
+    assert "pruned=0\npeeled=7\n" in stats_path.read_text()
+    # no vertex here has fewer than 3 neighbours, so the step runs, and the
+    # guard drops entries that only the raw output keeps
+    path.write_text(write_dimacs(gen_gnp(40, 0.6, seed=1040)))
+    assert main(["solve", "--input", str(path), "--stats", str(stats_path)]) == 0
+    sanitized = capsys.readouterr().out.splitlines()
+    assert "pruned=102\npeeled=0\n" in stats_path.read_text()
+    assert main(["solve", "--input", str(path), "--raw", "--stats", str(stats_path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) > len(sanitized)
+    assert "pruned=0\npeeled=0\n" in stats_path.read_text()
 
 
 def test_verify_p3(capsys):
@@ -243,7 +253,7 @@ def test_bench_empty_matrix(tmp_path):
     assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
     assert out.read_text() == (
         "family,n,p,seed,wall_ms,recursive_calls,merges,pivot_splits,"
-        "gcd_calls,max_weight_bits,clique_count,verified,case1_count,case2_count,pruned\n"
+        "gcd_calls,max_weight_bits,clique_count,verified,case1_count,case2_count,pruned,peeled\n"
     )
 
 

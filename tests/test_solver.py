@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference import assert_records_hold, is_clique, is_maximal, reference_find_cliques
-from _strategies import barabasi_albert, graphs, sparse_gnp, twin_blowups
+from _strategies import barabasi_albert, cores_with_fringe, graphs, sparse_gnp, twin_blowups
 import primeclique
 from primeclique import encoding, solver
 from primeclique.encoding import EncodedGraph, Graph, WeightedVertex, decode_clique, encode
@@ -156,12 +157,17 @@ def test_find_cliques_empty_and_singleton():
 
 def test_complete_graph_collapses_in_one_call():
     for n in (2, 5, 9):
-        g = gen_complete(n)
-        ids, stats = find_cliques(encode(g))
-        assert len(ids) == 1
-        assert stats.recursive_calls == 1
-        assert stats.merges == n - 1
-        assert stats.pivot_splits == 0
+        eg = encode(gen_complete(n))
+        for sanitized in (False, True):
+            ids, stats = find_cliques(eg, sanitize=sanitized)
+            assert len(ids) == 1
+            if sanitized and n == 2:
+                # each vertex of K_2 has one neighbour: the peel settles both
+                assert stats == SolverStats(max_weight_bits=3, peeled=2)
+                continue
+            assert stats.recursive_calls == 1
+            assert stats.merges == n - 1
+            assert stats.pivot_splits == 0
 
 
 def raw_extras_graph() -> Graph:
@@ -223,15 +229,18 @@ def test_find_cliques_sanitize_matches_full_sanitize(g5):
 
 
 def test_solve_graph_returns_emission_order(g5):
-    # the pivot 2 (weight 330) comes first, so 33 = {2, 5} and 30 = {1, 2, 3}
-    # come out before 14 = {1, 4}, as find_cliques emits them
+    # vertices 3, 4 and 5 start the peel's worklist with at most 2 neighbours
+    # each and emit 30 = {1, 2, 3}, 14 = {1, 4} and 33 = {2, 5} in that
+    # order, as find_cliques emits them; the raw step's pivot 2 (weight 330)
+    # puts 33 first
     cliques, _ = solve_graph(g5)
     assert [(i, frozenset(c)) for i, c in cliques.items()] == [
-        (33, frozenset({2, 5})),
         (30, frozenset({1, 2, 3})),
         (14, frozenset({1, 4})),
+        (33, frozenset({2, 5})),
     ]
     assert list(cliques) == list(find_cliques(encode(g5))[0])
+    assert list(solve_graph(g5, sanitize=False)[0]) == [33, 30, 14]
 
 
 def test_solve_graph_raw_keeps_emission_order():
@@ -328,7 +337,8 @@ def test_exact_emission_equals_sanitized_literal_output(g):
 
 def test_guard_drops_entries_it_extends():
     # dense enough that guarded entries run out of tuples not adjacent to
-    # their guard (raw_extras drops one too, pinned below)
+    # their guard, and no vertex has 2 neighbours or fewer (k4_pendants and
+    # gnp12 drop one too, pinned below)
     g = gen_gnp(40, 0.6, seed=1040)
     cliques, stats = solve_graph(g)
     _, raw_stats = find_cliques(encode(g), sanitize=False)
@@ -371,6 +381,21 @@ def test_twin_blowups_match_bron_kerbosch_and_the_literal_steps(g):
     assert_records_hold(raw, eg)
 
 
+@given(cores_with_fringe())
+@settings(max_examples=150, deadline=None)
+def test_cores_with_fringe_match_bron_kerbosch_and_the_literal_steps(g):
+    # the peel settles the fringe, the step the core with the fringe's
+    # primes left in its weights
+    eg = encode(g)
+    exact, _ = find_cliques(eg)
+    expected = bron_kerbosch(g)
+    assert len(exact) == len(expected)
+    assert set(map(frozenset, exact.values())) == set(expected)
+    assert_records_hold(exact, eg)
+    raw, stats = find_cliques(eg, sanitize=False)
+    assert (list(raw), stats) == reference_find_cliques(eg.tuples)
+
+
 REFERENCE_GRAPHS = {
     "star_1_199": lambda: Graph.from_edges(200, [(1, v) for v in range(2, 201)]),
     "k30_pendants": lambda: complete_with_pendants(30),
@@ -391,14 +416,15 @@ def test_find_cliques_takes_the_literal_steps_on_larger_graphs(name):
 # Sanitized ids come in their own order, which assert_matches_reference
 # compares only as a set: the SHA-256 of the ids in emission order, joined by
 # spaces, and the SolverStats fields in declaration order (merges,
-# pivot_splits, case1_count, case2_count, max_weight_bits, pruned). A test id
-# names the pivot order its pin was taken under, the largest weight first.
+# pivot_splits, case1_count, case2_count, max_weight_bits, pruned, peeled;
+# peeled is 0 where it is left out). A test id names the pivot order its pin
+# was taken under, the largest weight first.
 SANITIZED_GOLDEN = [
-    ("star_1_199", "4206a27450972662c985b63efa2965b9d0031fcdea86efefc1926f90c58bc10b", (0, 199, 199, 0, 1704, 0)),
-    ("k30_pendants", "271ffb3c061c4983b66a9e9d3682525ef2698e1b50cae8966bb97c5f26fa7dec", (56, 31, 1, 58, 163, 1)),
-    ("path600", "98f72c85c9869ff7ab03dc65136914c94c420dfdec56b24ce5b7fd0c149600f9", (1, 598, 299, 299, 37, 0)),
-    ("cycle600", "4354798866b4f5b2a0575f2198845d286858ad1c1705895135556f0d0afdc3c4", (0, 600, 300, 300, 37, 0)),
-    ("gnp600", "cf0ad36b043f879b3ba963cfb375715ce2d23a7d6f69a362a433cde140f94354", (88, 799, 188, 486, 101, 0)),
+    ("star_1_199", "0e5be3179e12fb9cedeb76dd03edf7d1ac20ab1f5766606ac2af44848f7027b1", (0, 0, 0, 0, 1704, 0, 200)),
+    ("k30_pendants", "d287cd3b94dc0f1a5ab3ee86cbb8fb837ee53e2823b2aea46154345aed04ac5a", (28, 1, 0, 29, 163, 1, 30)),
+    ("path600", "c5351eb75bba8cb42d2761e6e050e4298fa6f07a92fa2cec6c61b21e4b9b6fcc", (0, 0, 0, 0, 37, 0, 600)),
+    ("cycle600", "4c9788643a64841130cf6c5fcbe862f8b2b0ccbbcd2b3cb13ba3c34b904b31ce", (0, 0, 0, 0, 37, 0, 600)),
+    ("gnp600", "91813abf3ce2455b0c33da145f0176ed88d31a7c3c2955ae517362e5594f1c23", (0, 0, 0, 0, 101, 0, 600)),
     ("gnp70_033", "58eb3b81e11f7f6de4dba1be044d9554c0d9745497b1142ff7c56010384aaa21", (282, 1446, 527, 2512, 209, 47)),
     ("moon_moser5", "98345e03b21d9b5fdcdaa7d9f4537792c16796c49c1783b218f2a23e8f35ac66", (0, 282, 174, 348, 57, 0)),
 ]
@@ -434,6 +460,26 @@ def wheel(n: int) -> Graph:
     return Graph.from_edges(n, [(1, v) for v in range(2, n + 1)] + rim)
 
 
+def random_tree(n: int, seed: int) -> Graph:
+    """Vertex k > 1 joined to one of 1..k-1, drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(rng.randint(1, v - 1), v) for v in range(2, n + 1)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gen_path(300), gen_cycle(300), random_tree(300, seed=1), random_tree(300, seed=2), star(300)],
+    ids=["path", "cycle", "tree1", "tree2", "star"],
+)
+def test_two_degenerate_graphs_never_reach_the_step(g):
+    # every subgraph has a vertex of degree 2 or less, so the peel settles all
+    cliques, stats = find_cliques(encode(g))
+    assert stats.pivot_splits == 0
+    assert stats.peeled == g.n
+    assert set(map(frozenset, cliques.values())) == set(bron_kerbosch(g))
+    assert len(cliques) == len(bron_kerbosch(g))
+
+
 def _no_checked_decode(clique_id, eg):
     raise AssertionError(f"id {clique_id} was not accepted from its recorded members")
 
@@ -467,14 +513,17 @@ def test_sweep_matches_bron_kerbosch(family, n, p):
     assert_records_hold(cliques, encode(g))
 
 
-# Larger graphs for the same check, about 20 s together in CPython 3.11 on
+# Larger graphs for the same check, about 22 s together in CPython 3.11 on
 # a shared 2-core host, each time with Bron–Kerbosch and the record check:
 # gnp(80, .7) about 4.8 s and gnp(100, .6) about 3.4 s; a path or cycle of
-# 10^4 about 0.2 s; the star K_{1,9999} about 1.4 s and the wheel of 10^4
-# about 2.8 s, where a split walks the hub's neighbour list; BA(3·10^4, 3)
-# about 3.1 s (its solve alone 0.9 s); the sparse G(2·10^4, 3/n) about
-# 0.9 s; and BA(10^4, 3) with a vertex of degree 5000 about 1.6 s. Run with
-# ``pytest -m slow``.
+# 10^4 about 0.2 s, settled whole by the peel, so Bron–Kerbosch and the
+# record check are most of it; the star K_{1,9999} about 1.0 s, where the
+# peel settles each leaf with one gcd against the hub's weight, and the
+# wheel of 10^4 about 2.8 s, where nothing peels and a split walks the hub's
+# neighbour list; BA(3·10^4, 3) about 3.1 s (its solve alone 0.9 s); the
+# sparse G(2·10^4, 3/n) about 0.9 s, and G(2·10^4, 5/n), a 3-core of 17 070
+# vertices behind 2930 peeled ones, about 1.5 s; and BA(10^4, 3) with a
+# vertex of degree 5000 about 1.6 s. Run with ``pytest -m slow``.
 SLOW_SWEEP = [
     ("gnp", 80, 0.7),
     ("gnp", 100, 0.6),
@@ -488,6 +537,7 @@ SLOW_SWEEP = [
     ("wheel", 10_000, None),
     ("ba", 30_000, None),
     ("sparse-gnp", 20_000, 3 / 20_000),
+    ("sparse-gnp", 20_000, 5 / 20_000),
     ("ba-hub", 10_000, None),
 ]
 
@@ -539,9 +589,10 @@ def test_a_fault_in_the_encoding_fails_the_raw_emission_test(monkeypatch):
         IntegrityError, match="id 6 decodes to a non-clique: vertices 1 and 2 are not adjacent"
     ):
         solve_graph(ASYMMETRIC, sanitize=False)
-    # sanitized, the maximality test never emits 6
+    # sanitized, the peel settles all four vertices and the maximality test
+    # never emits 6
     cliques, _ = solve_graph(ASYMMETRIC)
-    assert list(cliques.items()) == [(21, (2, 4)), (15, (2, 3))]
+    assert list(cliques.items()) == [(15, (3, 2)), (21, (4, 2))]
 
 
 @given(graphs(max_n=9), st.booleans())
@@ -638,15 +689,16 @@ GOLDEN_GRAPHS = {
 # Literal id lists in emission order and SolverStats fields in declaration
 # order (merges, pivot_splits, case1_count, case2_count, max_weight_bits), as
 # the recursive solver produced them, then the sanitized run's SolverStats
-# with ``pruned`` last. The guard changes the sanitized steps: on raw_extras
-# it drops the entry that would emit 15, {2, 3}, which vertex 1 extends. Test
-# ids name the pivot order, as above.
+# with ``pruned`` and ``peeled`` last. The peel settles raw_extras, g5 and
+# path8 whole, and never emits 15 = {2, 3} of raw_extras, which vertex 1
+# extends; on k4_pendants it settles the pendants and the guard prunes the
+# K_4 left. Test ids name the pivot order, as above.
 LITERAL_GOLDEN = [
-    ("raw_extras", [34, 30, 26, 55, 15, 21], (2, 5, 3, 3, 13), (2, 5, 2, 4, 13, 1)),
-    ("g5", [33, 30, 14], (2, 2, 2, 1, 9), (2, 2, 2, 1, 9, 0)),
-    ("path8", [323, 221, 143, 77, 35, 15, 6], (1, 6, 3, 3, 13), (1, 6, 3, 3, 13, 0)),
+    ("raw_extras", [34, 30, 26, 55, 15, 21], (2, 5, 3, 3, 13), (0, 0, 0, 0, 13, 0, 7)),
+    ("g5", [33, 30, 14], (2, 2, 2, 1, 9), (0, 0, 0, 0, 9, 0, 5)),
+    ("path8", [323, 221, 143, 77, 35, 15, 6], (1, 6, 3, 3, 13), (0, 0, 0, 0, 13, 0, 8)),
     ("moon_moser2", [65, 55, 35, 39, 33, 21, 26, 22, 14], (0, 9, 3, 6, 13), (0, 9, 3, 6, 13, 0)),
-    ("k4_pendants", [210, 133, 85, 30, 39, 6, 22], (4, 6, 3, 6, 12), (4, 5, 1, 6, 12, 1)),
+    ("k4_pendants", [210, 133, 85, 30, 39, 6, 22], (4, 6, 3, 6, 12), (2, 1, 0, 3, 12, 1, 4)),
     ("gnp12", [144739, 3689, 19499, 9269, 14007, 1311, 3335, 1495, 7733, 6919, 1254, 286, 609, 119, 174], (7, 16, 13, 19, 31), (5, 19, 11, 25, 31, 1)),
 ]
 
@@ -660,7 +712,7 @@ def test_literal_output_and_stats_are_pinned(name, ids, stats, sanitized):
     eg = encode(GOLDEN_GRAPHS[name]())
     literal, literal_stats = find_cliques(eg, sanitize=False)
     assert list(literal) == ids
-    assert literal_stats == SolverStats(*stats)  # pruned is 0
+    assert literal_stats == SolverStats(*stats)  # pruned and peeled are 0
     exact, exact_stats = find_cliques(eg)
     assert frozenset(exact) == sanitize(ids, eg)
     assert exact_stats == SolverStats(*sanitized)
