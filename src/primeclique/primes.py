@@ -9,6 +9,7 @@ not what limits scale: a weight holds one prime per closed neighbor, so a
 10**4-vertex path has 51-bit weights.
 """
 
+import itertools
 import math
 
 __all__ = ["first_n_primes"]
@@ -23,7 +24,7 @@ def _sieve(limit: int) -> list[int]:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return [i for i, f in enumerate(flags) if f]
+    return list(itertools.compress(range(limit + 1), flags))
 
 
 def first_n_primes(n: int) -> list[int]:

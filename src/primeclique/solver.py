@@ -116,14 +116,17 @@ smallest-last spirit of Matula and Beck (JACM 1983). A worklist takes every
 vertex with at most 2 unpeeled neighbours: first those of input degree 2 or
 less, by id, then each vertex whose count of unpeeled neighbours falls to
 2. A count only falls, so the peel cascades down paths and trees. A peeled
-vertex v settles the cliques of v and its unpeeled neighbours that hold v.
-They are grown one neighbour u at a time from ``(p_v, w_v, (v,))``: a
-candidate ``(id, g, members)``, ``g`` the gcd of its members' input
-weights, gains ``(id * p_u, gcd(g, w_u), members + (u,))`` where ``p_u``
-divides ``g``. A candidate is emitted iff ``g`` equals its id, the step's
-emission test. A candidate of v holds v and otherwise only vertices peeled
-after v or never, so a maximal clique that holds a peeled vertex is a
-candidate of its first-peeled member alone, and is emitted exactly once.
+vertex v settles the cliques of v and its unpeeled neighbours that hold v,
+in closed form. With u and x its first and second unpeeled neighbours in
+its neighbour list, they are among {v}, {v, u}, {v, x} and {v, u, x}. Each
+is emitted, in that order, iff the gcd of its members' input weights
+equals its id, the step's emission test: ``w_v == p_v`` for {v}, which
+holds only when v has no neighbour, ``gcd(w_v, w_u) == p_v * p_u`` for {v, u},
+and ``gcd(gcd(w_v, w_u), w_x)`` against ``p_v * p_u * p_x`` for {v, u, x},
+tried only when ``p_x`` divides ``gcd(w_v, w_u)``. Such a clique holds v
+and otherwise only vertices peeled after v or never, so a maximal clique
+that holds a peeled vertex is settled by its first-peeled member alone,
+and is emitted exactly once.
 The root entry then holds only the unpeeled vertices, the 3-core, with
 their input weights untouched. A peeled vertex stays a prime in its core
 neighbours' weights, not a tuple. It extends a core clique exactly when its
@@ -185,7 +188,9 @@ class SolverStats:
     @property
     def recursive_calls(self) -> int:
         """Stack entries, one per call of the paper's recursion: the root
-        and both sides of every split, empty or dropped ones included."""
+        and both sides of every split, empty or dropped ones included. The
+        root counts even when the peel settles the whole graph and no root
+        entry is built, so such a graph reads 1."""
         return 1 + 2 * self.pivot_splits
 
     @property
@@ -261,6 +266,56 @@ def eliminate_case1_from_right(
     return [WeightedVertex(t.value, t.weight // math.gcd(t.weight, case1)) for t in right]
 
 
+def _merge(kept: Record, other: Record) -> Record:
+    """The record of two tuples of equal weight, kept's vertex standing for
+    it: the product of their values, all their members and their common
+    neighbourhood."""
+    return (kept[0] * other[0], kept[1] + other[1], math.gcd(kept[2], other[2]))
+
+
+def _peel(eg: EncodedGraph, settled: bytearray, emitted: dict[int, tuple[int, ...]]) -> int:
+    """Peel the low-degree fringe (module docstring): mark each peeled vertex
+    in ``settled``, emit the maximal cliques it is the first-peeled member of
+    into ``emitted``, in worklist order, and return how many vertices peeled."""
+    neighbours, tuples = eg.neighbours, eg.tuples
+    gcd = math.gcd
+    remaining = [len(walk) for walk in neighbours]
+    peel = [v for v, degree in enumerate(remaining, 1) if degree <= 2]
+    for v in peel:
+        settled[v - 1] = 1
+        # u and x: v's first and second unpeeled neighbours, 0 where absent.
+        u = x = 0
+        for t in neighbours[v - 1]:
+            if settled[t - 1]:
+                continue
+            if u:
+                x = t
+            else:
+                u = t
+            remaining[t - 1] -= 1
+            if remaining[t - 1] == 2:
+                peel.append(t)
+        p_v, w_v = tuples[v - 1]
+        if w_v == p_v:
+            # No neighbour's prime in v's weight: {v} is its only clique.
+            emitted[p_v] = (v,)
+        elif u:
+            p_u, w_u = tuples[u - 1]
+            g_u = gcd(w_v, w_u)
+            if g_u == p_v * p_u:
+                emitted[g_u] = (v, u)
+            if x:
+                p_x, w_x = tuples[x - 1]
+                g_x = gcd(w_v, w_x)
+                if g_x == p_v * p_x:
+                    emitted[g_x] = (v, x)
+                if not g_u % p_x:
+                    g_ux = gcd(g_u, w_x)
+                    if g_ux == p_v * p_u * p_x:
+                        emitted[g_ux] = (v, u, x)
+    return len(peel)
+
+
 def find_cliques(
     eg: EncodedGraph, *, sanitize: bool = True
 ) -> tuple[dict[int, tuple[int, ...]], SolverStats]:
@@ -292,45 +347,9 @@ def find_cliques(
     gcd, heappop, heappush = math.gcd, heapq.heappop, heapq.heappush
     # The counters live in locals and reach SolverStats once, at the end.
     merges = splits = adjacent_count = case2 = pruned = 0
-
-    def merge(kept: Record, other: Record) -> Record:
-        """The record of two tuples of equal weight, kept's vertex standing
-        for it: the product of their values, all their members and their
-        common neighbourhood."""
-        nonlocal merges
-        merges += 1
-        return (kept[0] * other[0], kept[1] + other[1], gcd(kept[2], other[2]))
-
     emitted: dict[int, tuple[int, ...]] = {}
-    # Sanitized, the peel (module docstring) settles each vertex with at most
-    # 2 unpeeled neighbours, in worklist order, before the step runs.
-    peel: list[int] = []
     settled = bytearray(len(eg.tuples))
-    if sanitize:
-        remaining = [len(walk) for walk in neighbours]
-        peel = [v for v, degree in enumerate(remaining, 1) if degree <= 2]
-        for v in peel:
-            settled[v - 1] = 1
-            p_v, w_v = eg.tuples[v - 1]
-            candidates = [(p_v, w_v, (v,))]
-            for u in neighbours[v - 1]:
-                if settled[u - 1]:
-                    continue
-                remaining[u - 1] -= 1
-                if remaining[u - 1] == 2:
-                    peel.append(u)
-                # Names of their own: before Python 3.12, a name this
-                # comprehension reads is a cell of the whole function, slower
-                # to reach in the step's loop below.
-                p_u, w_u = eg.tuples[u - 1]
-                candidates += [
-                    (clique_id * p_u, gcd(inner, w_u), members + (u,))
-                    for clique_id, inner, members in candidates
-                    if not inner % p_u
-                ]
-            for clique_id, inner, members in candidates:
-                if inner == clique_id:
-                    emitted[clique_id] = members
+    peeled = _peel(eg, settled, emitted) if sanitize else 0
 
     # An entry: weight -> record, merging equal weights; the record's first
     # member -> weight; and the heap of weights. The root holds the
@@ -342,7 +361,8 @@ def find_cliques(
             continue
         record = (value, (vertex,), weight)
         if weight in tuples:
-            tuples[weight] = merge(tuples[weight], record)
+            tuples[weight] = _merge(tuples[weight], record)
+            merges += 1
         else:
             tuples[weight] = record
             weight_of[vertex] = weight
@@ -379,13 +399,20 @@ def find_cliques(
                 # neighbour of each pivot vertex, and weight_of holds one
                 # vertex per live tuple, so either sequence finds each
                 # adjacent tuple once under the same test: walk the shorter.
+                # Plain loops, not comprehensions: before Python 3.12 a name a
+                # comprehension reads is a cell of the whole function, slower
+                # to reach in every step.
                 walk = neighbours[pivot_vertex - 1]
+                adjacent = []
                 if len(weight_of) < len(walk):
-                    adjacent = [(v, w) for v, w in weight_of.items() if not w % pivot_value]
+                    for v, weight in weight_of.items():
+                        if not weight % pivot_value:
+                            adjacent.append((v, weight))
                 else:
-                    adjacent = [
-                        (v, w) for v in walk if (w := weight_of.get(v)) and not w % pivot_value
-                    ]
+                    for v in walk:
+                        weight = weight_of.get(v)
+                        if weight and not weight % pivot_value:
+                            adjacent.append((v, weight))
             if adjacent:
                 adjacent_count += len(adjacent)
                 # The pivot side is built as its tuples leave the entry; a
@@ -405,7 +432,8 @@ def find_cliques(
                     else:
                         copies.append((v, reduced, record))
                     if inside in side:
-                        side[inside] = merge(side[inside], record)
+                        side[inside] = _merge(side[inside], record)
+                        merges += 1
                     else:
                         side[inside] = record
                         side_of[v] = inside
@@ -421,7 +449,8 @@ def find_cliques(
                     free = not guard or record[2] % guard
                     if weight in tuples:
                         other = tuples[weight]
-                        tuples[weight] = merge(other, record)
+                        tuples[weight] = _merge(other, record)
+                        merges += 1
                         del weight_of[v]
                         # A free tuple is in the heap already; a flagged one
                         # goes in when a free copy joins it.
@@ -465,7 +494,7 @@ def find_cliques(
         case2_count=case2,
         max_weight_bits=max_weight_bits,
         pruned=pruned,
-        peeled=len(peel),
+        peeled=peeled,
     )
 
 

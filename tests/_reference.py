@@ -9,6 +9,8 @@ steps through the pivot's neighbour list and must give the same ids, in the
 same order, with the same ``SolverStats``; it also records each id's
 members, which this reference leaves to be decoded. Sanitized mode prunes
 the recursion, so it is checked against ``sanitize`` of this output instead.
+``reference_peel`` is sanitized mode's fringe peel with each vertex's
+cliques grown one neighbour at a time, not settled in closed form.
 ``assert_records_hold`` checks each recorded member list against the
 encoding, a check the solver does not run.
 """
@@ -55,6 +57,44 @@ def reference_find_cliques(q: Sequence[WeightedVertex]) -> tuple[list[int], Solv
             # pivot side would silently lose it.
         emitted.append(prefix * pivot.value)
     return emitted, stats
+
+
+def reference_peel(eg: EncodedGraph) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
+    """The peel's emissions, each id with its members in emission order, and
+    the number of vertices it peels.
+
+    The worklist takes every vertex of at most 2 unpeeled neighbours, those
+    of input degree 2 or less first, by id, then each vertex whose count of
+    unpeeled neighbours falls to 2. A peeled vertex v grows its candidates
+    ``(id, g, members)``, ``g`` the gcd of the members' input weights, from
+    ``(p_v, w_v, (v,))``: each unpeeled neighbour u in turn extends every
+    candidate whose ``g`` it divides by ``p_u``. A candidate is emitted iff
+    ``g`` equals its id.
+    """
+    tuples, neighbours = eg.tuples, eg.neighbours
+    remaining = [len(walk) for walk in neighbours]
+    peel = [v for v in range(1, len(tuples) + 1) if remaining[v - 1] <= 2]
+    settled = set()
+    emitted: dict[int, tuple[int, ...]] = {}
+    for v in peel:
+        settled.add(v)
+        candidates = [(tuples[v - 1].value, tuples[v - 1].weight, (v,))]
+        for u in neighbours[v - 1]:
+            if u in settled:
+                continue
+            remaining[u - 1] -= 1
+            if remaining[u - 1] == 2:
+                peel.append(u)
+            p_u, w_u = tuples[u - 1]
+            candidates += [
+                (clique_id * p_u, math.gcd(g, w_u), members + (u,))
+                for clique_id, g, members in candidates
+                if g % p_u == 0
+            ]
+        for clique_id, g, members in candidates:
+            if g == clique_id:
+                emitted[clique_id] = members
+    return list(emitted.items()), len(peel)
 
 
 def assert_records_hold(cliques: Mapping[int, Sequence[int]], eg: EncodedGraph) -> None:

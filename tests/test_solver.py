@@ -10,7 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _reference import assert_records_hold, is_clique, is_maximal, reference_find_cliques
+from _reference import (
+    assert_records_hold,
+    is_clique,
+    is_maximal,
+    reference_find_cliques,
+    reference_peel,
+)
 from _strategies import barabasi_albert, cores_with_fringe, graphs, sparse_gnp, twin_blowups
 import primeclique
 from primeclique import encoding, solver
@@ -473,11 +479,34 @@ def random_tree(n: int, seed: int) -> Graph:
 )
 def test_two_degenerate_graphs_never_reach_the_step(g):
     # every subgraph has a vertex of degree 2 or less, so the peel settles all
-    cliques, stats = find_cliques(encode(g))
+    cliques, stats = assert_peel_matches_reference(g)
     assert stats.pivot_splits == 0
     assert stats.peeled == g.n
     assert set(map(frozenset, cliques.values())) == set(bron_kerbosch(g))
     assert len(cliques) == len(bron_kerbosch(g))
+
+
+def assert_peel_matches_reference(g: Graph) -> tuple[dict[int, tuple[int, ...]], SolverStats]:
+    """Assert that sanitized ``find_cliques`` starts with the candidate
+    growth's emissions, ids, order and members alike, and peels as many
+    vertices; return its result."""
+    eg = encode(g)
+    cliques, stats = find_cliques(eg)
+    ref, peeled = reference_peel(eg)
+    assert list(cliques.items())[: len(ref)] == ref
+    assert stats.peeled == peeled
+    return cliques, stats
+
+
+@given(cores_with_fringe())
+@settings(max_examples=150, deadline=None)
+def test_closed_form_peel_matches_candidate_growth(g):
+    assert_peel_matches_reference(g)
+
+
+def test_find_cliques_has_no_cell_variables():
+    # before Python 3.12 each read of a cell in the step's loop is a LOAD_DEREF
+    assert solver.find_cliques.__code__.co_cellvars == ()
 
 
 def _no_checked_decode(clique_id, eg):
@@ -515,15 +544,15 @@ def test_sweep_matches_bron_kerbosch(family, n, p):
 
 # Larger graphs for the same check, about 22 s together in CPython 3.11 on
 # a shared 2-core host, each time with Bron–Kerbosch and the record check:
-# gnp(80, .7) about 4.8 s and gnp(100, .6) about 3.4 s; a path or cycle of
-# 10^4 about 0.2 s, settled whole by the peel, so Bron–Kerbosch and the
-# record check are most of it; the star K_{1,9999} about 1.0 s, where the
-# peel settles each leaf with one gcd against the hub's weight, and the
-# wheel of 10^4 about 2.8 s, where nothing peels and a split walks the hub's
-# neighbour list; BA(3·10^4, 3) about 3.1 s (its solve alone 0.9 s); the
+# gnp(80, .7) about 4.2 s and gnp(100, .6) about 3.3 s; a path or cycle of
+# 10^4 about 0.13-0.16 s, settled whole by the peel, so Bron–Kerbosch and
+# the record check are most of it; the star K_{1,9999} about 0.9 s, where
+# the peel settles each leaf with one gcd against the hub's weight, and the
+# wheel of 10^4 about 2.7 s, where nothing peels and a split walks the hub's
+# neighbour list; BA(3·10^4, 3) about 2.7 s (its solve alone 0.6-0.7 s); the
 # sparse G(2·10^4, 3/n) about 0.9 s, and G(2·10^4, 5/n), a 3-core of 17 070
-# vertices behind 2930 peeled ones, about 1.5 s; and BA(10^4, 3) with a
-# vertex of degree 5000 about 1.6 s. Run with ``pytest -m slow``.
+# vertices behind 2930 peeled ones, about 1.3 s; and BA(10^4, 3) with a
+# vertex of degree 5000 about 1.5 s. Run with ``pytest -m slow``.
 SLOW_SWEEP = [
     ("gnp", 80, 0.7),
     ("gnp", 100, 0.6),
