@@ -25,12 +25,12 @@ FAMILIES = {
 }
 
 # The bench CSV's columns, in order; ``solve --stats`` writes all of them but
-# ``verified``. The case split, the pruned count and the peeled count follow
-# every older column.
+# ``verified``. The case split and the pruned, peeled and folded counts
+# follow every older column.
 COLUMNS = (
     "family", "n", "p", "seed", "wall_ms",
     "recursive_calls", "merges", "pivot_splits", "gcd_calls", "max_weight_bits",
-    "clique_count", "verified", "case1_count", "case2_count", "pruned", "peeled",
+    "clique_count", "verified", "case1_count", "case2_count", "pruned", "peeled", "folded",
 )
 
 

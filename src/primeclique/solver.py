@@ -29,7 +29,8 @@ and its tests expect only the ``prune`` layer to go missing. So they move
 out only once the tracer wraps what the solve path runs.
 
 ``find_cliques`` takes the same steps without the passes (in raw mode;
-sanitized mode also prunes and peels, as the last two paragraphs say).
+sanitized mode also prunes, peels and folds, as the last three paragraphs
+say).
 Each live tuple is one immutable record ``(value, members, common)``:
 ``members`` are its vertices' ids (1-based, as in DIMACS), and ``common``
 is the gcd of those vertices' input weights, their common closed
@@ -134,15 +135,50 @@ prime divides the clique's common neighbourhood, so the emission test
 rejects that clique. The prime is no tuple's value, so it changes no
 adjacency test; equal weights still mean twins; and it can only turn a
 case-1 tuple into case 2, which is copied to both sides and so is always
-sound. Sanitized ids come out in that order: the peel's cliques first, in
-worklist order, then the core's, in the order of the paper's recursion.
-Raw mode does not peel: it stays the paper's literal step, ids, order and
-stats.
+sound.
+
+The step merges true twins, vertices of one closed neighbourhood; sanitized
+enumeration also folds false twins, vertices of one open neighbourhood,
+``weight // value``, such as the parts of a complete multipartite graph
+(Moon and Moser, Israel J. Math. 1965, whose 3^{n/3} maximal cliques are
+the most an n-vertex graph has). The root entry takes only the first
+unpeeled vertex of each class, its representative r; the others stay
+primes in their neighbours' weights, as peeled vertices do
+(``SolverStats.folded`` counts them). Each clique the step emits that
+holds r is then expanded over r's class: for each left-out twin t, the id
+``id // p_r * p_t`` with t in r's place among the members. That is exact:
+
+* no clique holds two vertices of a class, since p_u divides v's open
+  product exactly when u ~ v, so equal open products mean non-adjacent;
+* a representative r with a twin t has no true twin s: s would be a
+  neighbour of r, hence of t, and t in N[s] = N[r] would be adjacent to r.
+  So r is a tuple of its own at the root, and a later merge keeps it among
+  its tuple's members, where the expansion finds it;
+* swapping two false twins is an automorphism of the graph, so each
+  expansion of a maximal clique is maximal, and a maximal clique of
+  unpeeled vertices, its twins swapped for their representatives, is a
+  maximal clique the step emits;
+* a left-out twin t extends a clique K of the entry only when
+  K ⊆ N(t) = N(r): with r in K it cannot, as t is not adjacent to r, and
+  without r, r extends K too, so the emission test's verdict is the same
+  with t in the entry or out of it;
+* no expansion is emitted twice or collides with another emitted id: a
+  base clique holds no left-out twin and each expansion holds at least
+  one, and two expansions differ in some class member.
+
+Expansion goes class by class, so each clique it adds costs one division
+and one multiplication. The peel's cliques are not expanded: a peeled
+vertex adjacent to r is adjacent to r's twins too, and settles its cliques
+with each of them itself. Sanitized ids come out in that order: the peel's
+cliques first, in worklist order, then the core's, in the order of the
+paper's recursion, each followed by its expansions. Raw mode neither peels
+nor folds: it stays the paper's literal step, ids, order and stats.
 """
 
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from . import encoding
@@ -172,9 +208,11 @@ class SolverStats:
     """Counters probing the enumeration's shape and the encoding's growth.
 
     ``pruned`` counts the guarded entries dropped because every tuple left
-    in them was adjacent to their guard, and ``peeled`` the vertices settled
-    before the step, with at most 2 unpeeled neighbours each; both are 0 in
-    raw mode.
+    in them was adjacent to their guard, ``peeled`` the vertices settled
+    before the step, with at most 2 unpeeled neighbours each, and
+    ``folded`` the unpeeled vertices left out of the root as false twins of
+    a representative, the sum over classes of their size less one; all
+    three are 0 in raw mode.
     """
 
     merges: int = 0
@@ -184,6 +222,7 @@ class SolverStats:
     max_weight_bits: int = 0
     pruned: int = 0
     peeled: int = 0
+    folded: int = 0
 
     @property
     def recursive_calls(self) -> int:
@@ -316,6 +355,33 @@ def _peel(eg: EncodedGraph, settled: bytearray, emitted: dict[int, tuple[int, ..
     return len(peel)
 
 
+def _unfold(
+    emitted: dict[int, tuple[int, ...]],
+    start: int,
+    twins: dict[int, list[tuple[int, int]]],
+    tuples: Sequence[WeightedVertex],
+) -> dict[int, tuple[int, ...]]:
+    """``emitted`` with each clique from the ``start``-th on, the step's,
+    followed by its expansions: class by class, each clique found so far
+    that holds a representative r gives one more for each of r's left-out
+    twins t, its id divided by p_r and times p_t, and t in r's place among
+    its members."""
+    items = iter(emitted.items())
+    unfolded = dict(islice(items, start))
+    for clique_id, members in items:
+        found = [(clique_id, members)]
+        for i, r in enumerate(members):
+            if r in twins:
+                p_r = tuples[r - 1].value
+                found += [
+                    (c // p_r * p_t, m[:i] + (t,) + m[i + 1 :])
+                    for c, m in found
+                    for t, p_t in twins[r]
+                ]
+        unfolded.update(found)
+    return unfolded
+
+
 def find_cliques(
     eg: EncodedGraph, *, sanitize: bool = True
 ) -> tuple[dict[int, tuple[int, ...]], SolverStats]:
@@ -333,14 +399,17 @@ def find_cliques(
     walks the shorter of the entry's live tuples and the pivot's degree,
     not the whole remainder. Sanitized, the peel (module docstring) settles
     the vertices of at most 2 unpeeled neighbours first and emits their
-    cliques before the step runs on the rest, and the guard picks other
-    pivots and drops entries, so the run takes fewer steps on sparse and
-    dense graphs and its ids, the maximal ones among the raw ids, come in
-    another order with other stats. The members of an id form a set: their
-    order in its tuple, and which vertex stands for a merged tuple inside
-    the enumeration, follow the walk and are not part of the result. A raw id
-    whose members' common neighbourhood it does not divide is no clique,
-    which only a fault in ``eg`` makes: it raises IntegrityError.
+    cliques before the step runs on the rest; the root holds one
+    representative per class of false twins, and each clique the step
+    emits is followed by its expansions over those classes; and the guard
+    picks other pivots and drops entries. So the run takes fewer steps on
+    sparse, dense and multipartite graphs, and its ids, the maximal ones
+    among the raw ids, come in another order with other stats. The members
+    of an id form a set: their order in its tuple, and which vertex stands
+    for a merged tuple inside the enumeration, follow the walk and are not
+    part of the result. A raw id whose members' common neighbourhood it
+    does not divide is no clique, which only a fault in ``eg`` makes: it
+    raises IntegrityError.
     """
     # Heap keys are -weight, so heap[0] holds the pivot's weight.
     neighbours = eg.neighbours
@@ -350,15 +419,24 @@ def find_cliques(
     emitted: dict[int, tuple[int, ...]] = {}
     settled = bytearray(len(eg.tuples))
     peeled = _peel(eg, settled, emitted) if sanitize else 0
+    peel_cliques = len(emitted)
 
     # An entry: weight -> record, merging equal weights; the record's first
     # member -> weight; and the heap of weights. The root holds the
-    # unpeeled vertices.
+    # unpeeled vertices; sanitized, only the first of each class of false
+    # twins, keyed by its open neighbourhood, weight // value.
     tuples: dict[int, Record] = {}
     weight_of: dict[int, int] = {}
+    first: dict[int, int] = {}
+    twins: dict[int, list[tuple[int, int]]] = {}
     for vertex, (value, weight) in enumerate(eg.tuples, 1):
         if settled[vertex - 1]:
             continue
+        if sanitize:
+            representative = first.setdefault(weight // value, vertex)
+            if representative != vertex:
+                twins.setdefault(representative, []).append((vertex, value))
+                continue
         record = (value, (vertex,), weight)
         if weight in tuples:
             tuples[weight] = _merge(tuples[weight], record)
@@ -484,6 +562,8 @@ def find_cliques(
                 )
             if not tuples:
                 break
+    if twins:
+        emitted = _unfold(emitted, peel_cliques, twins, eg.tuples)
     # Every weight the enumeration forms divides an input weight (partition
     # divides or takes a gcd, elimination divides), so the input is widest.
     max_weight_bits = max((t.weight.bit_length() for t in eg.tuples), default=0)
@@ -495,6 +575,7 @@ def find_cliques(
         max_weight_bits=max_weight_bits,
         pruned=pruned,
         peeled=peeled,
+        folded=sum(map(len, twins.values())),
     )
 
 
@@ -561,10 +642,11 @@ def solve_graph(
     order, each id with the tuple of vertex ids the enumeration recorded, in
     the order it recorded them. Sanitized, that is the peeled vertices'
     cliques in worklist order, then the core's in the order of the paper's
-    recursion (module docstring). The clique check runs at each emission in
-    ``find_cliques``, on the gcd it carries, not as a pass over the members.
-    So it is not independent: a bug in how ids, members or that gcd are
-    carried could fool it. The tests check every record against the
+    recursion, each followed by its expansions over the false-twin classes
+    of its members (module docstring). The clique check runs at each
+    emission in ``find_cliques``, on the gcd it carries, not as a pass over
+    the members. So it is not independent: a bug in how ids, members or
+    that gcd are carried could fool it. The tests check every record against the
     encoding, and Bron–Kerbosch and the literal reference stay the oracle.
     """
     return find_cliques(encoding.encode(g), sanitize=sanitize)

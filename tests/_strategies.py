@@ -1,7 +1,9 @@
 """Graph generators shared by the test modules: Hypothesis strategies, and a
-seeded Barabási–Albert generator and a sparse G(n, p) for the slow sweep."""
+twin blow-up, a seeded Barabási–Albert generator and a sparse G(n, p) for
+the pinned graphs and the slow sweep."""
 
 import math
+import random
 
 from hypothesis import strategies as st
 from hypothesis.strategies import composite
@@ -22,22 +24,37 @@ def graphs(draw, min_n: int = 0, max_n: int = 10):
 
 @composite
 def twin_blowups(draw, min_base: int = 5, max_base: int = 20, max_n: int = 40):
-    """A random base graph with each vertex blown up into a class of 1 to 3 twins.
-
-    A class is true twins (pairwise adjacent, one closed neighbourhood) or
-    false twins (pairwise non-adjacent, one open neighbourhood), and two
-    classes are joined completely when their base vertices are adjacent.
-    The vertex ids are then shuffled. A class is smaller than 3 only where
-    that keeps the graph within max_n vertices.
-    """
+    """``twin_blowup`` of a base of min_base to max_base vertices, with
+    classes of 1 to 3 twins, true or false with equal odds."""
     base = draw(st.integers(min_value=min_base, max_value=max_base))
     p = draw(st.sampled_from([0.3, 0.5, 0.7]))
     rng = draw(st.randoms(use_true_random=False))
+    return twin_blowup(rng, base, p, max_n)
+
+
+def twin_blowup(
+    rng: random.Random,
+    base: int,
+    p: float,
+    max_n: int,
+    max_class: int = 3,
+    true_share: float = 0.5,
+) -> Graph:
+    """A G(base, p) with each vertex blown up into a class of 1 to max_class
+    twins, all drawn from rng.
+
+    A class is true twins (pairwise adjacent, one closed neighbourhood) with
+    probability true_share, else false twins (pairwise non-adjacent, one
+    open neighbourhood), and two classes are joined completely when their
+    base vertices are adjacent. The vertex ids are then shuffled. A class is
+    smaller than max_class only by the draw or where that keeps the graph
+    within max_n vertices.
+    """
     classes = []
     n = 0
     for i in range(base):
-        size = rng.randint(1, min(3, max_n - n - (base - 1 - i)))
-        classes.append((range(n + 1, n + size + 1), rng.random() < 0.5))
+        size = rng.randint(1, min(max_class, max_n - n - (base - 1 - i)))
+        classes.append((range(n + 1, n + size + 1), rng.random() < true_share))
         n += size
     edges = [
         (a, b) for members, true in classes if true for a in members for b in members if a < b

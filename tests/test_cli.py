@@ -122,6 +122,7 @@ def test_solve_stats_file(tmp_path, capsys):
         ("recursive_calls", "1"), ("merges", "0"), ("pivot_splits", "0"), ("gcd_calls", "0"),
         ("max_weight_bits", "5"), ("clique_count", "2"),
         ("case1_count", "0"), ("case2_count", "0"), ("pruned", "0"), ("peeled", "3"),
+        ("folded", "0"),
     ]
     spec = tmp_path / "spec.txt"
     spec.write_text("gnp n=12 p=0.5 seed=3 verify=true\n")
@@ -131,7 +132,7 @@ def test_solve_stats_file(tmp_path, capsys):
     wall = header.split(",").index("wall_ms")
     row = row.split(",")
     assert float(row.pop(wall)) >= 0.0
-    assert row == "gnp,12,0.5,3,39,5,19,25,31,13,true,11,25,1,0".split(",")
+    assert row == "gnp,12,0.5,3,39,5,19,25,31,13,true,11,25,1,0,0".split(",")
 
 
 def test_solve_raw_keeps_nonmaximal(tmp_path, capsys):
@@ -253,7 +254,7 @@ def test_bench_empty_matrix(tmp_path):
     assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
     assert out.read_text() == (
         "family,n,p,seed,wall_ms,recursive_calls,merges,pivot_splits,"
-        "gcd_calls,max_weight_bits,clique_count,verified,case1_count,case2_count,pruned,peeled\n"
+        "gcd_calls,max_weight_bits,clique_count,verified,case1_count,case2_count,pruned,peeled,folded\n"
     )
 
 

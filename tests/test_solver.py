@@ -17,7 +17,14 @@ from _reference import (
     reference_find_cliques,
     reference_peel,
 )
-from _strategies import barabasi_albert, cores_with_fringe, graphs, sparse_gnp, twin_blowups
+from _strategies import (
+    barabasi_albert,
+    cores_with_fringe,
+    graphs,
+    sparse_gnp,
+    twin_blowup,
+    twin_blowups,
+)
 import primeclique
 from primeclique import encoding, solver
 from primeclique.encoding import EncodedGraph, Graph, WeightedVertex, decode_clique, encode
@@ -411,6 +418,9 @@ REFERENCE_GRAPHS = {
     # dense enough that most pivots walk the live tuples, not their neighbours
     "gnp70_033": lambda: gen_gnp(70, 0.33, seed=7),
     "moon_moser5": lambda: gen_moon_moser(5),
+    # 4 of its 16 vertices peel; 5 more fold into 3 classes, and 2 of the
+    # step's 4 cliques hold representatives of 2 classes each
+    "twin_blowup6": lambda: twin_blowup(random.Random(6), 8, 0.5, 40),
 }
 
 
@@ -422,9 +432,11 @@ def test_find_cliques_takes_the_literal_steps_on_larger_graphs(name):
 # Sanitized ids come in their own order, which assert_matches_reference
 # compares only as a set: the SHA-256 of the ids in emission order, joined by
 # spaces, and the SolverStats fields in declaration order (merges,
-# pivot_splits, case1_count, case2_count, max_weight_bits, pruned, peeled;
-# peeled is 0 where it is left out). A test id names the pivot order its pin
-# was taken under, the largest weight first.
+# pivot_splits, case1_count, case2_count, max_weight_bits, pruned, peeled,
+# folded; a field left out is 0). Moon–Moser 5 folds its 15 vertices into
+# the 5 representatives of its parts, so the step runs on K_5 and emits one
+# clique, which expands into the other 3^5 - 1. A test id names the pivot
+# order its pin was taken under, the largest weight first.
 SANITIZED_GOLDEN = [
     ("star_1_199", "0e5be3179e12fb9cedeb76dd03edf7d1ac20ab1f5766606ac2af44848f7027b1", (0, 0, 0, 0, 1704, 0, 200)),
     ("k30_pendants", "d287cd3b94dc0f1a5ab3ee86cbb8fb837ee53e2823b2aea46154345aed04ac5a", (28, 1, 0, 29, 163, 1, 30)),
@@ -432,7 +444,8 @@ SANITIZED_GOLDEN = [
     ("cycle600", "4c9788643a64841130cf6c5fcbe862f8b2b0ccbbcd2b3cb13ba3c34b904b31ce", (0, 0, 0, 0, 37, 0, 600)),
     ("gnp600", "91813abf3ce2455b0c33da145f0176ed88d31a7c3c2955ae517362e5594f1c23", (0, 0, 0, 0, 101, 0, 600)),
     ("gnp70_033", "58eb3b81e11f7f6de4dba1be044d9554c0d9745497b1142ff7c56010384aaa21", (282, 1446, 527, 2512, 209, 47)),
-    ("moon_moser5", "98345e03b21d9b5fdcdaa7d9f4537792c16796c49c1783b218f2a23e8f35ac66", (0, 282, 174, 348, 57, 0)),
+    ("moon_moser5", "0cde41eff43184d89076c1c4a791c12b9f9a91d84cf1822d7ac6ab625a620de8", (0, 4, 0, 10, 57, 4, 0, 10)),
+    ("twin_blowup6", "407f8a932864733828b8981b15d4aa2b46adf8dbfd5faeedfbe0148c5bfb1ce0", (2, 4, 1, 5, 35, 1, 4, 5)),
 ]
 
 
@@ -504,6 +517,47 @@ def test_closed_form_peel_matches_candidate_growth(g):
     assert_peel_matches_reference(g)
 
 
+def complete_bipartite(m: int, n: int) -> Graph:
+    """K_{m,n}: vertices 1..m each joined to every one of m+1..m+n."""
+    return Graph.from_edges(m + n, [(u, v) for u in range(1, m + 1) for v in range(m + 1, m + n + 1)])
+
+
+def moon_moser_less_one(k: int) -> Graph:
+    """Moon–Moser k without its last vertex, the benchmark's multipartite shape."""
+    g = gen_moon_moser(k)
+    return Graph.from_edges(g.n - 1, [(u, v) for u, v in g.edges if v != g.n])
+
+
+# Complete multipartite graphs, whose parts are classes of false twins, each
+# with its number of parts.
+MULTIPARTITE = (
+    [pytest.param(gen_moon_moser(k), k, id=f"moon_moser{k}") for k in range(1, 7)]
+    + [pytest.param(moon_moser_less_one(7), 7, id="moon_moser7_less_one")]
+    + [
+        pytest.param(complete_bipartite(m, n), 2, id=f"k{m}_{n}")
+        for m in range(1, 5)
+        for n in range(m, 5)
+    ]
+)
+
+
+@pytest.mark.parametrize("g, parts", MULTIPARTITE)
+def test_false_twins_fold_into_one_tuple_per_class(g, parts):
+    eg = encode(g)
+    cliques, stats = find_cliques(eg)
+    expected = bron_kerbosch(g)
+    assert len(cliques) == len(expected)
+    assert set(map(frozenset, cliques.values())) == set(expected)
+    assert_records_hold(cliques, eg)
+    # each graph here peels whole (K_{m,n} with m <= 2: the other side's
+    # vertices have m neighbours) or not at all; unpeeled, each part folds
+    # into its first vertex and the step runs on K_parts
+    assert stats.peeled in (0, g.n)
+    assert stats.folded == (0 if stats.peeled else g.n - parts)
+    assert stats.pivot_splits <= parts
+    assert find_cliques(eg, sanitize=False)[1].folded == 0
+
+
 def test_find_cliques_has_no_cell_variables():
     # before Python 3.12 each read of a cell in the step's loop is a LOAD_DEREF
     assert solver.find_cliques.__code__.co_cellvars == ()
@@ -519,6 +573,9 @@ def sweep_graph(family: str, n: int, p: float | None) -> Graph:
         return gen_gnp(n, p, seed=1000 + n)
     if family == "sparse-gnp":
         return sparse_gnp(n, p, seed=1000 + n)
+    if family == "false-twin-gnp":
+        # G(n, p) with each vertex blown up into 1 to 4 false twins
+        return twin_blowup(random.Random(n), n, p, 4 * n, max_class=4, true_share=0)
     return {
         "moon-moser": gen_moon_moser,
         "path": gen_path,
@@ -528,6 +585,7 @@ def sweep_graph(family: str, n: int, p: float | None) -> Graph:
         "ba": lambda n: barabasi_albert(n, 3, seed=n),
         # BA(n, 3) plus vertex n + 1 joined to half of the others
         "ba-hub": lambda n: barabasi_albert(n, 3, seed=n, hub=n // 2),
+        "k3n": lambda n: complete_bipartite(3, n),
     }[family](n)
 
 
@@ -542,7 +600,7 @@ def test_sweep_matches_bron_kerbosch(family, n, p):
     assert_records_hold(cliques, encode(g))
 
 
-# Larger graphs for the same check, about 22 s together in CPython 3.11 on
+# Larger graphs for the same check, about 37 s together in CPython 3.11 on
 # a shared 2-core host, each time with Bron–Kerbosch and the record check:
 # gnp(80, .7) about 4.2 s and gnp(100, .6) about 3.3 s; a path or cycle of
 # 10^4 about 0.13-0.16 s, settled whole by the peel, so Bron–Kerbosch and
@@ -552,7 +610,14 @@ def test_sweep_matches_bron_kerbosch(family, n, p):
 # neighbour list; BA(3·10^4, 3) about 2.7 s (its solve alone 0.6-0.7 s); the
 # sparse G(2·10^4, 3/n) about 0.9 s, and G(2·10^4, 5/n), a 3-core of 17 070
 # vertices behind 2930 peeled ones, about 1.3 s; and BA(10^4, 3) with a
-# vertex of degree 5000 about 1.5 s. Run with ``pytest -m slow``.
+# vertex of degree 5000 about 1.5 s. K_{3,3·10^4} takes about 15 s, 12 s of
+# it the record check, one ``%`` of a 500-kbit hub weight per clique; its
+# solve is about 1.7 s, nearly all of it ``encode`` building those weights,
+# as each side folds into one vertex (27 s before). Moon–Moser 9 takes about
+# 0.4 s, its 19 683 cliques expanded from one; and the blow-up of a G(100, .3)
+# base into false-twin classes of 1 to 4, 239 vertices with 93 246 maximal
+# cliques, about 2.1 s (a G(200, .3) base would have 1.5 million, too many
+# for Bron–Kerbosch's sets here). Run with ``pytest -m slow``.
 SLOW_SWEEP = [
     ("gnp", 80, 0.7),
     ("gnp", 100, 0.6),
@@ -568,6 +633,9 @@ SLOW_SWEEP = [
     ("sparse-gnp", 20_000, 3 / 20_000),
     ("sparse-gnp", 20_000, 5 / 20_000),
     ("ba-hub", 10_000, None),
+    ("k3n", 30_000, None),
+    ("moon-moser", 9, None),
+    ("false-twin-gnp", 100, 0.3),
 ]
 
 
@@ -718,15 +786,17 @@ GOLDEN_GRAPHS = {
 # Literal id lists in emission order and SolverStats fields in declaration
 # order (merges, pivot_splits, case1_count, case2_count, max_weight_bits), as
 # the recursive solver produced them, then the sanitized run's SolverStats
-# with ``pruned`` and ``peeled`` last. The peel settles raw_extras, g5 and
-# path8 whole, and never emits 15 = {2, 3} of raw_extras, which vertex 1
-# extends; on k4_pendants it settles the pendants and the guard prunes the
-# K_4 left. Test ids name the pivot order, as above.
+# with ``pruned``, ``peeled`` and ``folded`` last. The peel settles
+# raw_extras, g5 and path8 whole, and never emits 15 = {2, 3} of raw_extras,
+# which vertex 1 extends; on k4_pendants it settles the pendants and the
+# guard prunes the K_4 left. moon_moser2 folds each part of three into its
+# first vertex, so the step splits once, on K_2. Test ids name the pivot
+# order, as above.
 LITERAL_GOLDEN = [
     ("raw_extras", [34, 30, 26, 55, 15, 21], (2, 5, 3, 3, 13), (0, 0, 0, 0, 13, 0, 7)),
     ("g5", [33, 30, 14], (2, 2, 2, 1, 9), (0, 0, 0, 0, 9, 0, 5)),
     ("path8", [323, 221, 143, 77, 35, 15, 6], (1, 6, 3, 3, 13), (0, 0, 0, 0, 13, 0, 8)),
-    ("moon_moser2", [65, 55, 35, 39, 33, 21, 26, 22, 14], (0, 9, 3, 6, 13), (0, 9, 3, 6, 13, 0)),
+    ("moon_moser2", [65, 55, 35, 39, 33, 21, 26, 22, 14], (0, 9, 3, 6, 13), (0, 1, 0, 1, 13, 1, 0, 4)),
     ("k4_pendants", [210, 133, 85, 30, 39, 6, 22], (4, 6, 3, 6, 12), (2, 1, 0, 3, 12, 1, 4)),
     ("gnp12", [144739, 3689, 19499, 9269, 14007, 1311, 3335, 1495, 7733, 6919, 1254, 286, 609, 119, 174], (7, 16, 13, 19, 31), (5, 19, 11, 25, 31, 1)),
 ]
