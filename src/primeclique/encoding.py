@@ -11,6 +11,7 @@ Vertex ids are 1-based and contiguous, following the DIMACS convention.
 """
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .errors import IntegrityError
@@ -108,19 +109,25 @@ class EncodedGraph:
 def encode(g: Graph) -> EncodedGraph:
     """Encode a graph: vertex k gets value = the k-th prime, weight = product over N[k].
 
-    The same pass over the edges fills the neighbour lists.
+    The same pass over the edges fills the neighbour lists, each in the
+    order of ``g.edges``. Its tables are indexed by vertex id, with a slot 0
+    that is dropped after, so the pass does no index arithmetic.
     """
     assignment = PrimeAssignment.default(g.n)
     primes = assignment.primes
-    weights = list(primes)
-    neighbours: tuple[list[int], ...] = tuple([] for _ in primes)
+    value = (1, *primes)
+    weights = list(value)
+    neighbours: list[list[int]] = [[] for _ in value]
     for u, v in g.edges:
-        i, j = u - 1, v - 1
-        weights[i] *= primes[j]
-        weights[j] *= primes[i]
-        neighbours[i].append(v)
-        neighbours[j].append(u)
-    return EncodedGraph(tuple(map(WeightedVertex, primes, weights)), assignment, neighbours)
+        weights[u] *= value[v]
+        weights[v] *= value[u]
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    del weights[0], neighbours[0]
+    # tuple.__new__ builds each WeightedVertex from its pair without the
+    # Python-level __new__ that NamedTuple gives the class.
+    tuples = tuple(map(tuple.__new__, repeat(WeightedVertex), zip(primes, weights)))
+    return EncodedGraph(tuples, assignment, tuple(neighbours))
 
 
 def decode_clique(clique_id: int, assignment: PrimeAssignment) -> frozenset[int]:

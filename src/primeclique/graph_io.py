@@ -3,7 +3,14 @@
 Formats:
 
 * DIMACS: optional ``c ...`` comment lines, exactly one ``p edge N M``
-  header before any edge, then ``e u v`` lines with 1 <= u,v <= N.
+  header before any edge, then ``e u v`` lines with 1 <= u,v <= N. A text
+  in the form ``write_dimacs`` writes, the header then one ``e u v`` line
+  per edge with u < v, ids in plain decimal, and no whitespace but spaces
+  and the newline that ends each line, is read in one pass over its
+  tokens, unless an id exceeds the text's token count. Every other
+  text, with comments, blank or indented lines, CR, ids such as ``+3`` or
+  ``007``, u > v or any error, is read line by line, and only that loop
+  names an error and its line. Both give the same graph.
 * Edge list: ``u v`` per line, 1-based positive integers, ``#`` starts a
   comment, vertex count inferred as the largest id seen.
 
@@ -16,7 +23,8 @@ strings, optional tab-separated decimal clique id, trailing newline.
 
 import math
 from collections.abc import Iterable, Mapping
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, lt
 
 from .encoding import Graph
 from .errors import ParseError
@@ -36,7 +44,60 @@ __all__ = [
 
 
 def parse_dimacs(text: str) -> Graph:
-    """Parse DIMACS edge format; errors carry the offending line number."""
+    """Parse DIMACS edge format; errors carry the offending line number.
+    Which texts take the one-pass parse: the module docstring."""
+    g = _parse_dimacs_tokens(text)
+    return _parse_dimacs_lines(text) if g is None else g
+
+
+def _parse_dimacs_tokens(text: str) -> Graph | None:
+    """The graph of a text the line loop accepts, read in one pass over its
+    tokens, or None where this pass cannot prove the loop would return it.
+
+    The checks prove that each line holds exactly one record:
+
+    * the text holds no whitespace but spaces and newlines, since its length
+      is that of its tokens, spaces and newlines;
+    * a token ``e`` cannot be an id, which is read through a table of the
+      names ``"1"`` to ``str(min(N, tokens))``, nor N or M, which are read
+      by ``int``; so each of the ``records`` newlines followed by ``"e "``
+      starts a record, and since there are no other newlines but a final
+      one, every record starts a line and no line breaks one.
+
+    The table also rejects ids out of range and in any other spelling, and
+    it holds no more names than the text has tokens, whatever N is.
+    """
+    tokens = text.split()
+    records, odd = divmod(len(tokens) - 4, 3)
+    if odd or records < 0 or tokens[0] != "p" or tokens[1] != "edge":
+        return None
+    newlines = text.count("\n")
+    if (
+        newlines != records + text.endswith("\n")
+        or text.count("\ne ") != records
+        or len(text) != len("".join(tokens)) + text.count(" ") + newlines
+    ):
+        return None
+    try:
+        n = int(tokens[2])
+        int(tokens[3])
+    except ValueError:
+        return None
+    if n < 0:
+        return None
+    named = {str(k): k for k in range(1, min(n, len(tokens)) + 1)}.__getitem__
+    try:
+        us = list(map(named, tokens[5::3]))
+        vs = list(map(named, tokens[6::3]))
+    except KeyError:
+        return None
+    if not all(map(lt, us, vs)):
+        return None
+    return Graph(n, frozenset(zip(us, vs)))
+
+
+def _parse_dimacs_lines(text: str) -> Graph:
+    """Parse DIMACS line by line, naming the first error and its line."""
     n = None
     pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -204,21 +265,22 @@ def write_cliques(cliques: Iterable[Iterable[int]] | Mapping[int, Iterable[int]]
     per member per line.
     """
     with_ids = isinstance(cliques, Mapping)
-    rows = [sorted(c) for c in (cliques.values() if with_ids else cliques)]
+    rows = list(map(sorted, cliques.values() if with_ids else cliques))
     # A table over 0..top is used when it holds no more names than the lines
     # print, so that building it costs no more than naming each member (true
     # of solve_graph's output, where each vertex is in some clique), and when
     # no member is negative, which would index it from the end.
-    filled = [row for row in rows if row]
+    filled = list(filter(None, rows))
     top = max(map(itemgetter(-1), filled), default=0)
     if min(map(itemgetter(0), filled), default=0) >= 0 and top < sum(map(len, filled)):
         name = list(map(str, range(top + 1))).__getitem__
     else:
         name = str
+    lines = list(map(" ".join, map(map, repeat(name), rows)))
     if with_ids:
-        lines = [f"{' '.join(map(name, row))}\t{i}\n" for row, i in zip(rows, cliques)]
-    else:
-        lines = [" ".join(map(name, row)) + "\n" for row in rows]
-    # Tab and newline sort before space and digits: lines sort as members do.
+        lines = [f"{line}\t{i}" for line, i in zip(lines, cliques)]
+    # A line that is a prefix of another is followed there by a space, a
+    # digit or a sign, all above the newline, so the lines sort as they
+    # would with their newlines.
     lines.sort()
-    return "".join(lines)
+    return "\n".join(lines) + "\n" if lines else ""

@@ -16,15 +16,19 @@ __all__ = ["first_n_primes"]
 
 
 def _sieve(limit: int) -> list[int]:
-    """All primes <= limit, by sieve of Eratosthenes."""
+    """All primes <= limit, by sieve of Eratosthenes over the odd numbers
+    alone: ``flags[i]`` stands for 2i + 1, and the odd multiples of an odd
+    prime p from p² on lie p flags apart."""
     if limit < 2:
         return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return list(itertools.compress(range(limit + 1), flags))
+    size = (limit + 1) // 2
+    flags = bytearray([1]) * size
+    flags[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, size, p)))
+    return [2, *itertools.compress(range(1, limit + 1, 2), flags)]
 
 
 def first_n_primes(n: int) -> list[int]:

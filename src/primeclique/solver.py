@@ -144,9 +144,11 @@ enumeration also folds false twins, vertices of one open neighbourhood,
 the most an n-vertex graph has). The root entry takes only the first
 unpeeled vertex of each class, its representative r; the others stay
 primes in their neighbours' weights, as peeled vertices do
-(``SolverStats.folded`` counts them). Each clique the step emits that
-holds r is then expanded over r's class: for each left-out twin t, the id
-``id // p_r * p_t`` with t in r's place among the members. That is exact:
+(``SolverStats.folded`` counts them). Each clique the step emits is then
+expanded over its members' classes, a member with no left-out twin a
+class of its own: every choice of one vertex from each member's class,
+that vertex in the member's place, its id the product of the chosen
+vertices' primes. That is exact:
 
 * no clique holds two vertices of a class, since p_u divides v's open
   product exactly when u ~ v, so equal open products mean non-adjacent;
@@ -166,19 +168,25 @@ holds r is then expanded over r's class: for each left-out twin t, the id
   base clique holds no left-out twin and each expansion holds at least
   one, and two expansions differ in some class member.
 
-Expansion goes class by class, so each clique it adds costs one division
-and one multiplication. The peel's cliques are not expanded: a peeled
-vertex adjacent to r is adjacent to r's twins too, and settles its cliques
-with each of them itself. Sanitized ids come out in that order: the peel's
-cliques first, in worklist order, then the core's, in the order of the
-paper's recursion, each followed by its expansions. Raw mode neither peels
-nor folds: it stays the paper's literal step, ids, order and stats.
+The expansions come in product order, the order of ``itertools.product``
+over the members' classes in member order, each class its representative
+first and then its left-out twins by id: the step's clique itself first,
+and the last member's class varying fastest. For Moon–Moser 2, whose parts
+{1, 2, 3} and {4, 5, 6} fold into 1 and 4, the step's {1, 4} is followed by
+{1, 5}, {1, 6}, {2, 4}, {2, 5}, and so on to {3, 6}. The peel's cliques
+are not expanded: a peeled vertex adjacent to r is adjacent to r's twins
+too, and settles its cliques with each of them itself. Sanitized ids come
+out in that order: the peel's cliques first, in worklist order, then the
+core's, in the order of the paper's recursion, each followed by its
+expansions. Raw mode neither peels nor folds: it stays the paper's literal
+step, ids, order and stats.
 """
 
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, product
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import encoding
@@ -358,27 +366,30 @@ def _peel(eg: EncodedGraph, settled: bytearray, emitted: dict[int, tuple[int, ..
 def _unfold(
     emitted: dict[int, tuple[int, ...]],
     start: int,
-    twins: dict[int, list[tuple[int, int]]],
+    twins: dict[int, list[int]],
     tuples: Sequence[WeightedVertex],
 ) -> dict[int, tuple[int, ...]]:
     """``emitted`` with each clique from the ``start``-th on, the step's,
-    followed by its expansions: class by class, each clique found so far
-    that holds a representative r gives one more for each of r's left-out
-    twins t, its id divided by p_r and times p_t, and t in r's place among
-    its members."""
-    items = iter(emitted.items())
-    unfolded = dict(islice(items, start))
-    for clique_id, members in items:
-        found = [(clique_id, members)]
-        for i, r in enumerate(members):
-            if r in twins:
-                p_r = tuples[r - 1].value
-                found += [
-                    (c // p_r * p_t, m[:i] + (t,) + m[i + 1 :])
-                    for c, m in found
-                    for t, p_t in twins[r]
-                ]
-        unfolded.update(found)
+    replaced by its expansions over its members' classes in product order:
+    ``itertools.product`` over the class of each member in turn, the
+    representative first and its left-out twins after it in id order. So
+    the clique itself comes first, the last member's class varies fastest,
+    and each expansion's id is the product of its members' primes."""
+    # Per vertex id, its class's members and their primes: (v,) and (p_v,)
+    # for a vertex that represents no class.
+    members_of = list(zip(range(len(tuples) + 1)))
+    primes_of = list(zip((1, *map(itemgetter(0), tuples))))
+    for r, left_out in twins.items():
+        members_of[r] += tuple(left_out)
+        primes_of[r] += tuple(tuples[t - 1][0] for t in left_out)
+    unfolded = dict(islice(emitted.items(), start))
+    for members in islice(emitted.values(), start, None):
+        unfolded.update(
+            zip(
+                map(math.prod, product(*map(primes_of.__getitem__, members))),
+                product(*map(members_of.__getitem__, members)),
+            )
+        )
     return unfolded
 
 
@@ -401,7 +412,8 @@ def find_cliques(
     the vertices of at most 2 unpeeled neighbours first and emits their
     cliques before the step runs on the rest; the root holds one
     representative per class of false twins, and each clique the step
-    emits is followed by its expansions over those classes; and the guard
+    emits is followed by its expansions over those classes, in product
+    order (module docstring); and the guard
     picks other pivots and drops entries. So the run takes fewer steps on
     sparse, dense and multipartite graphs, and its ids, the maximal ones
     among the raw ids, come in another order with other stats. The members
@@ -428,14 +440,14 @@ def find_cliques(
     tuples: dict[int, Record] = {}
     weight_of: dict[int, int] = {}
     first: dict[int, int] = {}
-    twins: dict[int, list[tuple[int, int]]] = {}
+    twins: dict[int, list[int]] = {}
     for vertex, (value, weight) in enumerate(eg.tuples, 1):
         if settled[vertex - 1]:
             continue
         if sanitize:
             representative = first.setdefault(weight // value, vertex)
             if representative != vertex:
-                twins.setdefault(representative, []).append((vertex, value))
+                twins.setdefault(representative, []).append(vertex)
                 continue
         record = (value, (vertex,), weight)
         if weight in tuples:
@@ -566,7 +578,7 @@ def find_cliques(
         emitted = _unfold(emitted, peel_cliques, twins, eg.tuples)
     # Every weight the enumeration forms divides an input weight (partition
     # divides or takes a gcd, elimination divides), so the input is widest.
-    max_weight_bits = max((t.weight.bit_length() for t in eg.tuples), default=0)
+    max_weight_bits = max(map(int.bit_length, map(itemgetter(1), eg.tuples)), default=0)
     return emitted, SolverStats(
         merges=merges,
         pivot_splits=splits,
@@ -643,7 +655,9 @@ def solve_graph(
     the order it recorded them. Sanitized, that is the peeled vertices'
     cliques in worklist order, then the core's in the order of the paper's
     recursion, each followed by its expansions over the false-twin classes
-    of its members (module docstring). The clique check runs at each
+    of its members in product order: ``itertools.product`` over the
+    members' classes, each representative first, so the last member's class
+    varies fastest (module docstring). The clique check runs at each
     emission in ``find_cliques``, on the gcd it carries, not as a pass over
     the members. So it is not independent: a bug in how ids, members or
     that gcd are carried could fool it. The tests check every record against the

@@ -108,6 +108,20 @@ def test_decode_graph_detects_corruption(p3):
 
 @given(graphs(max_n=12))
 @settings(max_examples=150)
+def test_encode_builds_weighted_vertices_and_neighbour_lists_in_edge_order(g):
+    eg = encode(g)
+    assert all(type(t) is WeightedVertex for t in eg.tuples)
+    # a plain loop over g.edges, in its iteration order: the peel's choice
+    # of a vertex's first and second neighbours depends on it
+    neighbours = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        neighbours[u - 1].append(v)
+        neighbours[v - 1].append(u)
+    assert eg.neighbours == tuple(neighbours)
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=150)
 def test_encode_symmetry_and_closure(g):
     eg = encode(g)
     for u in g.vertices():

@@ -1,14 +1,19 @@
 import hashlib
 import math
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.strategies import composite
 
 from _strategies import graphs
 from primeclique.encoding import Graph
 from primeclique.errors import ParseError
 from primeclique.graph_io import (
+    _parse_dimacs_lines,
+    _parse_dimacs_tokens,
     SplitMix64,
     gen_complete,
     gen_cycle,
@@ -79,6 +84,110 @@ def test_parse_edge_list_errors(text, message):
 @settings(max_examples=150)
 def test_dimacs_round_trip(g):
     assert parse_dimacs(write_dimacs(g)) == g
+    # What write_dimacs writes takes the one-pass parse whenever its ids
+    # fit the name table, whose size is bounded by the text's token count.
+    tokens = 4 + 3 * len(g.edges)
+    assert (_parse_dimacs_tokens(write_dimacs(g)) == g) == all(v <= tokens for _, v in g.edges)
+
+
+def parse_outcome(parse, text):
+    """The graph a parser returns, or the message and line of its ParseError."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+# Texts near the canonical form, each with the path it must take: True for
+# the one-pass parse, False for the line loop.
+PARSE_CORPUS = [
+    ("p edge 4 2\ne 1 2\ne 3 4\n", True),
+    ("p edge 4 2\ne 1 2\ne 3 4", True),
+    ("p edge 4 2\ne 1  2\ne 3 4 \n", True),
+    ("p edge 3 3\ne 1 2\ne 1 2\ne 2 3\n", True),  # a duplicate edge
+    ("p edge 0 0\n", True),
+    ("p edge 0 0", True),
+    ("p edge 3 0\n", True),
+    # a record split across lines or two records on one line
+    ("p edge 4 2\ne 1 2 e\n3 4\n", False),
+    ("p edge 4 2\ne 1\n2 e 3 4\n", False),
+    ("p edge 4 2 e 1 2\ne 3 4\n", False),
+    ("p\nedge 4 1\ne 1 2\n", False),
+    ("c made by hand\np edge 2 1\ne 1 2\n", False),
+    ("p edge 2 1\nc a comment\ne 1 2\n", False),
+    ("p edge 2 1\r\ne 1 2\r\n", False),
+    ("p edge 2 1\n\ne 1 2\n", False),
+    ("p edge 2 1\n \t \ne 1 2\n", False),
+    ("p edge 2 1\n e 1 2\n", False),
+    ("p edge 2 1\n\te 1 2\n", False),
+    ("\np edge 2 1\ne 1 2\n", False),
+    ("p edge 2 1\ne\t1 2\n", False),
+    ("p edge 3 1\ne +3 1\n", False),
+    ("p edge 8 1\ne 007 1\n", False),
+    ("p edge 10 1\ne 1 1_0\n", False),
+    ("p edge 3 2\ne 2 1\ne 3 2\n", False),  # u > v
+    ("p edge 3 1\ne 2 2\n", False),
+    ("p edge 3 1\ne 1 4\n", False),
+    ("p edge 3 1\ne 0 1\n", False),
+    ("p edge -1 0\n", False),
+    ("p edge x 0\n", False),
+    ("p edge 2 1\np edge 2 1\n", False),
+    ("p edge 2 1\ne 1 x\n", False),
+    ("e 1 2\np edge 2 1\n", False),
+    ("", False),
+    ("p edge 2\n", False),
+]
+
+
+@pytest.mark.parametrize("text, one_pass", PARSE_CORPUS)
+def test_one_pass_parse_takes_only_the_canonical_form(text, one_pass):
+    assert (_parse_dimacs_tokens(text) is not None) == one_pass
+    assert parse_outcome(parse_dimacs, text) == parse_outcome(_parse_dimacs_lines, text)
+
+
+# Token and newline soups: the text write_dimacs writes for a small graph,
+# split into its tokens and the whitespace between them, with up to three of
+# either replaced, so that records can share or split lines.
+SOUP_TOKENS = st.sampled_from(["", "p", "edge", "e", "c", "x", "+3", "007", "1_0", "-1", "0", "1", "2", "3", "7"])
+SOUP_SPACES = st.sampled_from(["", " ", "  ", "\t", "\n", "\n", "\r\n", "\r", "\n\n", "\n \n", "\nc x\n", "\n "])
+
+
+@composite
+def dimacs_soups(draw):
+    parts = re.split(r"(\s)", write_dimacs(draw(graphs(max_n=6))))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(parts) - 1))
+        parts[i] = draw(SOUP_SPACES if i % 2 else SOUP_TOKENS)
+    return "".join(parts)
+
+
+@given(dimacs_soups())
+@example("p edge 4 2\ne 1 2 e\n3 4\n")
+@example("p edge 4 2\ne 1\n2 e 3 4\n")
+@settings(max_examples=400, deadline=None)
+def test_one_pass_parse_agrees_with_the_line_loop(text):
+    # the same graph, or the same error at the same line
+    assert parse_outcome(parse_dimacs, text) == parse_outcome(_parse_dimacs_lines, text)
+
+
+def test_one_pass_parse_memory_does_not_grow_with_the_vertex_count():
+    # The name table is bounded by the text's tokens, not by N. N = 10^6
+    # comes first, so that a table over 1..N fails there, at about 100 MB,
+    # before N = 10^9 would ask for 10^9 names.
+    for text, n, edges in [
+        ("p edge 1000000 1\ne 1 2\n", 10**6, {(1, 2)}),
+        ("p edge 1000000000 0", 10**9, set()),
+        ("p edge 1000000000 1\ne 1 2\n", 10**9, {(1, 2)}),
+    ]:
+        tracemalloc.start()
+        try:
+            g = parse_dimacs(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert g == Graph(n, frozenset(edges))
+        assert _parse_dimacs_tokens(text) == g
 
 
 @given(graphs(min_n=2, max_n=12))

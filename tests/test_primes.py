@@ -4,7 +4,7 @@ import pytest
 
 from primeclique.encoding import PrimeAssignment, decode_clique
 from primeclique.errors import IntegrityError
-from primeclique.primes import first_n_primes
+from primeclique.primes import _sieve, first_n_primes
 
 
 def trial_division(n: int) -> bool:
@@ -34,6 +34,21 @@ def test_first_n_primes_prefix_stable():
 def test_first_n_primes_negative():
     with pytest.raises(ValueError):
         first_n_primes(-1)
+
+
+def test_first_n_primes_matches_trial_division():
+    # every n up to 2000, whose sieve limits, odd and even, are the floor of
+    # 15 below n = 6 and the estimate above it; the estimate always holds
+    # enough primes here, so the limit is never doubled
+    primes = [p for p in range(2, 17_400) if trial_division(p)]
+    assert len(primes) >= 2000
+    for n in range(2001):
+        assert first_n_primes(n) == primes[:n]
+
+
+def test_sieve_matches_trial_division():
+    for limit in range(301):
+        assert _sieve(limit) == [p for p in range(limit + 1) if trial_division(p)]
 
 
 

@@ -435,8 +435,9 @@ def test_find_cliques_takes_the_literal_steps_on_larger_graphs(name):
 # pivot_splits, case1_count, case2_count, max_weight_bits, pruned, peeled,
 # folded; a field left out is 0). Moon–Moser 5 folds its 15 vertices into
 # the 5 representatives of its parts, so the step runs on K_5 and emits one
-# clique, which expands into the other 3^5 - 1. A test id names the pivot
-# order its pin was taken under, the largest weight first.
+# clique, which expands into the other 3^5 - 1 in product order (the
+# moon_moser5 and twin_blowup6 digests were taken under it). A test id names
+# the pivot order its pin was taken under, the largest weight first.
 SANITIZED_GOLDEN = [
     ("star_1_199", "0e5be3179e12fb9cedeb76dd03edf7d1ac20ab1f5766606ac2af44848f7027b1", (0, 0, 0, 0, 1704, 0, 200)),
     ("k30_pendants", "d287cd3b94dc0f1a5ab3ee86cbb8fb837ee53e2823b2aea46154345aed04ac5a", (28, 1, 0, 29, 163, 1, 30)),
@@ -444,8 +445,8 @@ SANITIZED_GOLDEN = [
     ("cycle600", "4c9788643a64841130cf6c5fcbe862f8b2b0ccbbcd2b3cb13ba3c34b904b31ce", (0, 0, 0, 0, 37, 0, 600)),
     ("gnp600", "91813abf3ce2455b0c33da145f0176ed88d31a7c3c2955ae517362e5594f1c23", (0, 0, 0, 0, 101, 0, 600)),
     ("gnp70_033", "58eb3b81e11f7f6de4dba1be044d9554c0d9745497b1142ff7c56010384aaa21", (282, 1446, 527, 2512, 209, 47)),
-    ("moon_moser5", "0cde41eff43184d89076c1c4a791c12b9f9a91d84cf1822d7ac6ab625a620de8", (0, 4, 0, 10, 57, 4, 0, 10)),
-    ("twin_blowup6", "407f8a932864733828b8981b15d4aa2b46adf8dbfd5faeedfbe0148c5bfb1ce0", (2, 4, 1, 5, 35, 1, 4, 5)),
+    ("moon_moser5", "6cc6b30c9fda45e89fe7adb72861c7155c195c54565cf20c4638604be42c9677", (0, 4, 0, 10, 57, 4, 0, 10)),
+    ("twin_blowup6", "2b7a87f2d5da7a7fd6c6189776410527f9b39b04c120f5cb732189ed3628f619", (2, 4, 1, 5, 35, 1, 4, 5)),
 ]
 
 
@@ -556,6 +557,27 @@ def test_false_twins_fold_into_one_tuple_per_class(g, parts):
     assert stats.folded == (0 if stats.peeled else g.n - parts)
     assert stats.pivot_splits <= parts
     assert find_cliques(eg, sanitize=False)[1].folded == 0
+
+
+def test_folded_cliques_expand_in_product_order():
+    # Moon–Moser 2 is K_{3,3}: parts {1, 2, 3} and {4, 5, 6} fold into their
+    # representatives 1 and 4, and the step emits {1, 4} alone. Its
+    # expansions follow itertools.product over the classes (1, 2, 3) and
+    # (4, 5, 6), the last member's class varying fastest, each id the
+    # product of its members' primes 2, 3, 5, 7, 11 and 13.
+    cliques, stats = find_cliques(encode(gen_moon_moser(2)))
+    assert list(cliques.items()) == [
+        (2 * 7, (1, 4)),
+        (2 * 11, (1, 5)),
+        (2 * 13, (1, 6)),
+        (3 * 7, (2, 4)),
+        (3 * 11, (2, 5)),
+        (3 * 13, (2, 6)),
+        (5 * 7, (3, 4)),
+        (5 * 11, (3, 5)),
+        (5 * 13, (3, 6)),
+    ]
+    assert (stats.peeled, stats.folded, stats.pivot_splits) == (0, 4, 1)
 
 
 def test_find_cliques_has_no_cell_variables():
