@@ -144,11 +144,11 @@ enumeration also folds false twins, vertices of one open neighbourhood,
 the most an n-vertex graph has). The root entry takes only the first
 unpeeled vertex of each class, its representative r; the others stay
 primes in their neighbours' weights, as peeled vertices do
-(``SolverStats.folded`` counts them). Each clique the step emits is then
-expanded over its members' classes, a member with no left-out twin a
-class of its own: every choice of one vertex from each member's class,
-that vertex in the member's place, its id the product of the chosen
-vertices' primes. That is exact:
+(``SolverStats.folded`` counts them). Where the step emits a clique, it
+emits the clique's expansions over its members' classes with it, a member
+with no left-out twin a class of its own: every choice of one vertex from
+each member's class, that vertex in the member's place, its id the product
+of the chosen vertices' primes. That is exact:
 
 * no clique holds two vertices of a class, since p_u divides v's open
   product exactly when u ~ v, so equal open products mean non-adjacent;
@@ -168,24 +168,26 @@ vertices' primes. That is exact:
   base clique holds no left-out twin and each expansion holds at least
   one, and two expansions differ in some class member.
 
-The expansions come in product order, the order of ``itertools.product``
-over the members' classes in member order, each class its representative
-first and then its left-out twins by id: the step's clique itself first,
-and the last member's class varying fastest. For Moon–Moser 2, whose parts
-{1, 2, 3} and {4, 5, 6} fold into 1 and 4, the step's {1, 4} is followed by
-{1, 5}, {1, 6}, {2, 4}, {2, 5}, and so on to {3, 6}. The peel's cliques
-are not expanded: a peeled vertex adjacent to r is adjacent to r's twins
-too, and settles its cliques with each of them itself. Sanitized ids come
-out in that order: the peel's cliques first, in worklist order, then the
-core's, in the order of the paper's recursion, each followed by its
-expansions. Raw mode neither peels nor folds: it stays the paper's literal
-step, ids, order and stats.
+The peel's cliques are not expanded: a peeled vertex adjacent to r is
+adjacent to r's twins too, and settles its cliques with each of them
+itself.
+
+Sanitized ids come out in this order: the peel's cliques first, in worklist
+order, then the core's, in the order of the paper's recursion, each clique
+the step emits followed at once by its expansions. Those come in product
+order, the order of ``itertools.product`` over the members' classes in
+member order, each class its representative first and then its left-out
+twins by id: the step's clique itself first, and the last member's class
+varying fastest. For Moon–Moser 2, whose parts {1, 2, 3} and {4, 5, 6} fold
+into 1 and 4, the step's {1, 4} is followed by {1, 5}, {1, 6}, {2, 4},
+{2, 5}, and so on to {3, 6}. Raw mode neither peels nor folds: it stays the
+paper's literal step, ids, order and stats.
 """
 
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -363,36 +365,6 @@ def _peel(eg: EncodedGraph, settled: bytearray, emitted: dict[int, tuple[int, ..
     return len(peel)
 
 
-def _unfold(
-    emitted: dict[int, tuple[int, ...]],
-    start: int,
-    twins: dict[int, list[int]],
-    tuples: Sequence[WeightedVertex],
-) -> dict[int, tuple[int, ...]]:
-    """``emitted`` with each clique from the ``start``-th on, the step's,
-    replaced by its expansions over its members' classes in product order:
-    ``itertools.product`` over the class of each member in turn, the
-    representative first and its left-out twins after it in id order. So
-    the clique itself comes first, the last member's class varies fastest,
-    and each expansion's id is the product of its members' primes."""
-    # Per vertex id, its class's members and their primes: (v,) and (p_v,)
-    # for a vertex that represents no class.
-    members_of = list(zip(range(len(tuples) + 1)))
-    primes_of = list(zip((1, *map(itemgetter(0), tuples))))
-    for r, left_out in twins.items():
-        members_of[r] += tuple(left_out)
-        primes_of[r] += tuple(tuples[t - 1][0] for t in left_out)
-    unfolded = dict(islice(emitted.items(), start))
-    for members in islice(emitted.values(), start, None):
-        unfolded.update(
-            zip(
-                map(math.prod, product(*map(primes_of.__getitem__, members))),
-                product(*map(members_of.__getitem__, members)),
-            )
-        )
-    return unfolded
-
-
 def find_cliques(
     eg: EncodedGraph, *, sanitize: bool = True
 ) -> tuple[dict[int, tuple[int, ...]], SolverStats]:
@@ -408,20 +380,17 @@ def find_cliques(
     step built from ``sort_by_weight``, ``merge_equal_weights``,
     ``partition_by_pivot`` and ``eliminate_case1_from_right``; a step here
     walks the shorter of the entry's live tuples and the pivot's degree,
-    not the whole remainder. Sanitized, the peel (module docstring) settles
-    the vertices of at most 2 unpeeled neighbours first and emits their
-    cliques before the step runs on the rest; the root holds one
-    representative per class of false twins, and each clique the step
-    emits is followed by its expansions over those classes, in product
-    order (module docstring); and the guard
-    picks other pivots and drops entries. So the run takes fewer steps on
-    sparse, dense and multipartite graphs, and its ids, the maximal ones
-    among the raw ids, come in another order with other stats. The members
-    of an id form a set: their order in its tuple, and which vertex stands
-    for a merged tuple inside the enumeration, follow the walk and are not
-    part of the result. A raw id whose members' common neighbourhood it
-    does not divide is no clique, which only a fault in ``eg`` makes: it
-    raises IntegrityError.
+    not the whole remainder. Sanitized, the peel settles the vertices of at
+    most 2 unpeeled neighbours first, the root holds one representative per
+    class of false twins, and the guard picks other pivots and drops
+    entries (module docstring, which also states the sanitized emission
+    order). So the run takes fewer steps on sparse, dense and multipartite
+    graphs, and its ids, the maximal ones among the raw ids, come in
+    another order with other stats. The members of an id form a set: their
+    order in its tuple, and which vertex stands for a merged tuple inside
+    the enumeration, follow the walk and are not part of the result. A raw
+    id whose members' common neighbourhood it does not divide is no clique,
+    which only a fault in ``eg`` makes: it raises IntegrityError.
     """
     # Heap keys are -weight, so heap[0] holds the pivot's weight.
     neighbours = eg.neighbours
@@ -431,7 +400,6 @@ def find_cliques(
     emitted: dict[int, tuple[int, ...]] = {}
     settled = bytearray(len(eg.tuples))
     peeled = _peel(eg, settled, emitted) if sanitize else 0
-    peel_cliques = len(emitted)
 
     # An entry: weight -> record, merging equal weights; the record's first
     # member -> weight; and the heap of weights. The root holds the
@@ -456,6 +424,15 @@ def find_cliques(
         else:
             tuples[weight] = record
             weight_of[vertex] = weight
+    if twins:
+        # Per vertex id, its class's members and their primes, representative
+        # first: (v,) and (p_v,) for a vertex that represents no class.
+        primes = (1, *map(itemgetter(0), eg.tuples))
+        members_of = list(zip(range(len(primes))))
+        primes_of = list(zip(primes))
+        for r, left_out in twins.items():
+            members_of[r] += tuple(left_out)
+            primes_of[r] += tuple(map(primes.__getitem__, left_out))
     heap = [-weight for weight in tuples]
     heapq.heapify(heap)
     # The last field is the entry's guard (module docstring), 0 until set.
@@ -566,16 +543,27 @@ def find_cliques(
             # is the rest of this entry, unchanged: it goes on in place.
             # Equal to inner means maximal; dividing it means a clique.
             clique_id = prefix * pivot_value
-            if not sanitize or inner == clique_id:
+            if inner == clique_id:
+                clique = members + pivot_members
+                if twins:
+                    # The clique, then its expansions over its members'
+                    # classes, in product order (module docstring).
+                    emitted.update(
+                        zip(
+                            map(math.prod, product(*map(primes_of.__getitem__, clique))),
+                            product(*map(members_of.__getitem__, clique)),
+                        )
+                    )
+                else:
+                    emitted[clique_id] = clique
+            elif not sanitize:
                 emitted[clique_id] = (
                     members + pivot_members
-                    if sanitize or not inner % clique_id
+                    if not inner % clique_id
                     else _decode_clique_checked(clique_id, eg)
                 )
             if not tuples:
                 break
-    if twins:
-        emitted = _unfold(emitted, peel_cliques, twins, eg.tuples)
     # Every weight the enumeration forms divides an input weight (partition
     # divides or takes a gcd, elimination divides), so the input is widest.
     max_weight_bits = max(map(int.bit_length, map(itemgetter(1), eg.tuples)), default=0)
@@ -652,15 +640,11 @@ def solve_graph(
     prime. Sanitized mode returns each maximal clique once; raw mode returns
     the literal ids, non-maximal entries included. Both come in emission
     order, each id with the tuple of vertex ids the enumeration recorded, in
-    the order it recorded them. Sanitized, that is the peeled vertices'
-    cliques in worklist order, then the core's in the order of the paper's
-    recursion, each followed by its expansions over the false-twin classes
-    of its members in product order: ``itertools.product`` over the
-    members' classes, each representative first, so the last member's class
-    varies fastest (module docstring). The clique check runs at each
-    emission in ``find_cliques``, on the gcd it carries, not as a pass over
-    the members. So it is not independent: a bug in how ids, members or
-    that gcd are carried could fool it. The tests check every record against the
-    encoding, and Bron–Kerbosch and the literal reference stay the oracle.
+    the order it recorded them; the module docstring states the sanitized
+    order. The clique check runs at each emission in ``find_cliques``, on
+    the gcd it carries, not as a pass over the members. So it is not
+    independent: a bug in how ids, members or that gcd are carried could
+    fool it. The tests check every record against the encoding, and
+    Bron–Kerbosch and the literal reference stay the oracle.
     """
     return find_cliques(encoding.encode(g), sanitize=sanitize)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -580,6 +581,34 @@ def test_folded_cliques_expand_in_product_order():
     assert (stats.peeled, stats.folded, stats.pivot_splits) == (0, 4, 1)
 
 
+@given(twin_blowups())
+@settings(max_examples=150, deadline=None)
+def test_each_step_clique_is_followed_by_its_expansions_in_product_order(g):
+    # after the peel's cliques, the output is runs: a clique of class
+    # representatives, each the smallest id of its open-neighbourhood class,
+    # then the other choices of one vertex per member's class in
+    # itertools.product order, each id the product of its members' primes
+    eg = encode(g)
+    cliques, _ = find_cliques(eg)
+    ref, _ = reference_peel(eg)
+    emitted = list(cliques.items())
+    assert emitted[: len(ref)] == ref
+    classes: dict[int, list[int]] = {}
+    for v, (value, weight) in enumerate(eg.tuples, 1):
+        classes.setdefault(weight // value, []).append(v)
+    class_of = {v: members for members in classes.values() for v in members}
+    rest = emitted[len(ref) :]
+    while rest:
+        base = rest[0][1]
+        assert all(class_of[v][0] == v for v in base)
+        run = [
+            (math.prod(eg.tuples[v - 1].value for v in members), members)
+            for members in product(*(class_of[v] for v in base))
+        ]
+        assert rest[: len(run)] == run
+        rest = rest[len(run) :]
+
+
 def test_find_cliques_has_no_cell_variables():
     # before Python 3.12 each read of a cell in the step's loop is a LOAD_DEREF
     assert solver.find_cliques.__code__.co_cellvars == ()
@@ -607,6 +636,8 @@ def sweep_graph(family: str, n: int, p: float | None) -> Graph:
         "ba": lambda n: barabasi_albert(n, 3, seed=n),
         # BA(n, 3) plus vertex n + 1 joined to half of the others
         "ba-hub": lambda n: barabasi_albert(n, 3, seed=n, hub=n // 2),
+        # BA(n, 3) plus vertex n + 1 joined to every other vertex
+        "ba-apex": lambda n: barabasi_albert(n, 3, seed=n, hub=n),
         "k3n": lambda n: complete_bipartite(3, n),
     }[family](n)
 
@@ -622,23 +653,25 @@ def test_sweep_matches_bron_kerbosch(family, n, p):
     assert_records_hold(cliques, encode(g))
 
 
-# Larger graphs for the same check, about 37 s together in CPython 3.11 on
+# Larger graphs for the same check, about 36 s together in CPython 3.11 on
 # a shared 2-core host, each time with Bron–Kerbosch and the record check:
-# gnp(80, .7) about 4.2 s and gnp(100, .6) about 3.3 s; a path or cycle of
-# 10^4 about 0.13-0.16 s, settled whole by the peel, so Bron–Kerbosch and
-# the record check are most of it; the star K_{1,9999} about 0.9 s, where
+# gnp(80, .7) about 3.3 s and gnp(100, .6) about 2.4 s; a path or cycle of
+# 10^4 about 0.1-0.15 s, settled whole by the peel, so Bron–Kerbosch and
+# the record check are most of it; the star K_{1,9999} about 0.8 s, where
 # the peel settles each leaf with one gcd against the hub's weight, and the
-# wheel of 10^4 about 2.7 s, where nothing peels and a split walks the hub's
-# neighbour list; BA(3·10^4, 3) about 2.7 s (its solve alone 0.6-0.7 s); the
-# sparse G(2·10^4, 3/n) about 0.9 s, and G(2·10^4, 5/n), a 3-core of 17 070
-# vertices behind 2930 peeled ones, about 1.3 s; and BA(10^4, 3) with a
-# vertex of degree 5000 about 1.5 s. K_{3,3·10^4} takes about 15 s, 12 s of
+# wheel of 10^4 about 2.4 s, where nothing peels and a split walks the hub's
+# neighbour list; BA(3·10^4, 3) about 1.9 s; the sparse G(2·10^4, 3/n) about
+# 0.5 s, and G(2·10^4, 5/n), a 3-core of 17 070 vertices behind 2930 peeled
+# ones, about 1 s; BA(10^4, 3) with a vertex of degree 5000 about 1.2 s, and
+# with one joined to all 10^4 others about 4.8 s, its solve alone 1.8 s
+# against 0.17 s for Bron–Kerbosch: nothing peels, and each split under the
+# apex takes a gcd with its 150-kbit weight. K_{3,3·10^4} takes about 12 s, nearly all of
 # it the record check, one ``%`` of a 500-kbit hub weight per clique; its
 # solve is about 1.7 s, nearly all of it ``encode`` building those weights,
-# as each side folds into one vertex (27 s before). Moon–Moser 9 takes about
-# 0.4 s, its 19 683 cliques expanded from one; and the blow-up of a G(100, .3)
-# base into false-twin classes of 1 to 4, 239 vertices with 93 246 maximal
-# cliques, about 2.1 s (a G(200, .3) base would have 1.5 million, too many
+# as each side folds into one vertex. Moon–Moser 9 takes about 0.2 s, its
+# 19 683 cliques expanded from one; and the blow-up of a G(100, .3) base
+# into false-twin classes of 1 to 4, 239 vertices with 93 246 maximal
+# cliques, about 1.1 s (a G(200, .3) base would have 1.5 million, too many
 # for Bron–Kerbosch's sets here). Run with ``pytest -m slow``.
 SLOW_SWEEP = [
     ("gnp", 80, 0.7),
@@ -655,6 +688,7 @@ SLOW_SWEEP = [
     ("sparse-gnp", 20_000, 3 / 20_000),
     ("sparse-gnp", 20_000, 5 / 20_000),
     ("ba-hub", 10_000, None),
+    ("ba-apex", 10_000, None),
     ("k3n", 30_000, None),
     ("moon-moser", 9, None),
     ("false-twin-gnp", 100, 0.3),
