@@ -199,12 +199,7 @@ def _parse_bench_spec(text: str):
     return runs
 
 
-def _bench_row(family: str, n: int, p, seed, verify: bool, lineno: int) -> dict[str, str]:
-    try:
-        g = _generate(family, n, p, seed)
-    except ValueError as exc:
-        # The generators' range errors name the spec line too.
-        raise ParseError(str(exc), lineno)
+def _bench_row(g: Graph, family: str, p, seed, verify: bool) -> dict[str, str]:
     cliques, stats, wall_ms = _run(g, raw=False)
     verified = ""
     if verify:
@@ -221,7 +216,13 @@ def _cmd_bench(args) -> int:
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for run in runs:
+        for family, n, p, seed, verify, lineno in runs:
+            # One graph per spec line, solved --reps times.
+            try:
+                g = _generate(family, n, p, seed)
+            except ValueError as exc:
+                # The generators' range errors name the spec line too.
+                raise ParseError(str(exc), lineno)
             for _ in range(args.reps):
-                writer.writerow(_bench_row(*run))
+                writer.writerow(_bench_row(g, family, p, seed, verify))
     return 0

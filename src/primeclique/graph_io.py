@@ -23,7 +23,7 @@ strings, optional tab-separated decimal clique id, trailing newline.
 
 import math
 from collections.abc import Iterable, Mapping
-from itertools import repeat
+from itertools import combinations, compress, islice, repeat
 from operator import itemgetter, lt
 
 from .encoding import Graph
@@ -210,32 +210,72 @@ class SplitMix64:
         return z ^ (z >> 31)
 
 
+# gen_gnp evaluates the stream _LANES draws at a time, one draw in each
+# 128-bit lane of a single int: lane j is bits 128j to 128j + 127, and its
+# value sits in the lane's low 64 bits, so that a product with a 64-bit
+# constant fills the lane and never carries into the next one.
+_LANES = 512
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = SplitMix64.MASK
+_ONES = int.from_bytes(b"\x01".ljust(16, b"\0") * _LANES, "little")  # 1 in each lane
+_LOW = _ONES * _MASK  # each lane's low 64 bits
+_STEP = _GAMMA * int.from_bytes(  # gamma * j in lane j
+    b"".join(j.to_bytes(16, "little") for j in range(_LANES)), "little"
+)
+_JUMP = ((_GAMMA * _LANES) & _MASK) * _ONES  # a block's advance, in each lane
+
+
+def _draws_below(state: int, low: int, bias: int, lanes: int) -> bytes:
+    """One byte per lane, 1 where the lane's draw is below the threshold and
+    0 elsewhere, given the lanes' SplitMix64 states (each below 2**64), the
+    lanes' low bits and ``bias``, 2**64 + threshold - 1 in each lane.
+
+    Each round of the output scramble is masked back to the lanes' low bits
+    before its multiply, where the shift brought in the next lane's bits, and
+    after it. Then bias - z is below 2**65 in every lane, so nothing borrows
+    across lanes, and its bit 64, the low bit of the lane's byte 8, is set
+    exactly when z < threshold.
+    """
+    z = (((state ^ (state >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+    z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
+    return (bias - ((z ^ (z >> 31)) & low)).to_bytes(16 * lanes, "little")[8::16]
+
+
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Seeded G(n, p): each pair (u, v), u < v in lexicographic order, is an
     edge iff the next 53-bit draw is below floor(p * 2**53).
 
     The draw is the top 53 bits of a SplitMix64 output, so the graph is
-    bit-identical for fixed (n, p, seed) on any platform or language. The
-    stream's step is inlined, and each whole output is compared with the
-    threshold shifted left by 11 bits: the same test as comparing its top
-    53 bits with the threshold.
+    bit-identical for fixed (n, p, seed) on any platform or language. Each
+    whole output is compared with the threshold shifted left by 11 bits: the
+    same test as comparing its top 53 bits with the threshold.
+
+    The k-th draw's state is seed + (k + 1) * gamma mod 2**64, so the draws
+    are computed in blocks of ``_LANES``, each block in one int (see
+    ``_draws_below``), and ``itertools.compress`` keeps the block's pairs
+    whose draws fall below. The last block holds only the pairs left.
     """
     if n < 1:
         raise ValueError("gnp requires n >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
-    threshold = math.floor(p * float(1 << 53)) << 11
-    mask = SplitMix64.MASK
-    state = seed & mask
-    pairs = []
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            state = (state + 0x9E3779B97F4A7C15) & mask
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            if z ^ (z >> 31) < threshold:
-                pairs.append((u, v))
-    return Graph(n, frozenset(pairs))  # each pair already has u < v
+    top = (math.floor(p * float(1 << 53)) << 11) + _MASK  # 2**64 + threshold - 1
+    pairs = combinations(range(1, n + 1), 2)
+    blocks, rest = divmod(n * (n - 1) // 2, _LANES)
+    edges = []
+    if blocks:
+        bias = top * _ONES
+        state = (((seed + _GAMMA) & _MASK) * _ONES + _STEP) & _LOW
+        for _ in range(blocks):
+            edges += compress(islice(pairs, _LANES), _draws_below(state, _LOW, bias, _LANES))
+            state = (state + _JUMP) & _LOW
+    if rest:
+        cut = (1 << (128 * rest)) - 1  # the first `rest` lanes
+        ones, low = _ONES & cut, _LOW & cut
+        base = (seed + _GAMMA * (blocks * _LANES + 1)) & _MASK
+        state = (base * ones + (_STEP & cut)) & low
+        edges += compress(pairs, _draws_below(state, low, top * ones, rest))
+    return Graph(n, frozenset(edges))  # each pair already has u < v
 
 
 def gen_moon_moser(k: int) -> Graph:

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import FIXTURES
 import primeclique
-from primeclique import encoding, solver
+from primeclique import cli, encoding, solver
 from primeclique.cli import main
 from primeclique.encoding import Graph
 from primeclique.graph_io import gen_gnp, gen_moon_moser, parse_dimacs, write_dimacs
@@ -236,15 +236,25 @@ def test_bench_complete_matrix(tmp_path):
     assert mm_row["verified"] == "true"
 
 
-def test_bench_reps(tmp_path):
+def test_bench_reps(tmp_path, monkeypatch):
+    # Each spec line's graph is generated once and solved --reps times.
+    calls = []
+    generate, options = cli.FAMILIES["gnp"]
+
+    def counted(*args):
+        calls.append(args)
+        return generate(*args)
+
+    monkeypatch.setitem(cli.FAMILIES, "gnp", (counted, options))
     spec = tmp_path / "spec.txt"
-    spec.write_text("complete n=4\n")
+    spec.write_text("complete n=4\ngnp n=12 p=0.5 seed=3\n")
     out = tmp_path / "bench.csv"
     assert main(["bench", "--spec", str(spec), "--out", str(out), "--reps", "3"]) == 0
+    assert calls == [(12, 0.5, 3)]
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 3
-    assert {row["merges"] for row in rows} == {"3"}
+    assert [row["family"] for row in rows] == ["complete"] * 3 + ["gnp"] * 3
+    assert {row["merges"] for row in rows[:3]} == {"3"}
 
 
 def test_bench_empty_matrix(tmp_path):

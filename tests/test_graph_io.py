@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.strategies import composite
 
 from _strategies import graphs
+from primeclique import graph_io
 from primeclique.encoding import Graph
 from primeclique.errors import ParseError
 from primeclique.graph_io import (
@@ -259,13 +260,23 @@ def plain_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, pairs)
 
 
+# gen_gnp draws in blocks of _LANES = 512 pairs. G(32) has 496 pairs, one
+# block less 16; G(33) 528, one block and 16; G(45) 990, two blocks less 34;
+# G(46) 1035, two blocks and 11; G(2 * _LANES) a whole number of blocks and
+# no short last one. Both sides reduce the seed mod 2**64, and the CLI
+# passes any int.
 @given(
-    st.integers(1, 40),
+    st.integers(1, 110),
     st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
-    st.integers(0, (1 << 64) - 1),
+    st.integers(-(1 << 65), 1 << 66),
 )
 @example(40, 0.0, 5)
 @example(40, 1.0, 5)
+@example(32, 0.5, 5)
+@example(33, 0.5, -5)
+@example(45, 0.3, (1 << 64) + 5)
+@example(46, 0.3, -(1 << 64) - 5)
+@example(2 * graph_io._LANES, 0.01, -77)
 @settings(max_examples=200, deadline=None)
 def test_gen_gnp_matches_a_plain_loop_over_the_stream(n, p, seed):
     assert gen_gnp(n, p, seed) == plain_gnp(n, p, seed)
