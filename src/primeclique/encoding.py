@@ -15,7 +15,7 @@ from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .errors import IntegrityError
-from .primes import first_n_primes
+from .primes import _first_primes
 
 __all__ = [
     "Graph",
@@ -68,15 +68,16 @@ class PrimeAssignment:
     """The primes of vertex ids 1..n: ``primes[k - 1]``, the k-th prime, is
     the prime of vertex k, so clique ids are reproducible across runs.
 
-    ``default`` builds it from the sieve; like ``EncodedGraph``, one built
-    by hand is not checked.
+    ``default`` takes it from the sieve's table, which the process keeps
+    (``primes`` module); like ``EncodedGraph``, one built by hand is not
+    checked.
     """
 
     primes: tuple[int, ...]
 
     @classmethod
     def default(cls, n: int) -> "PrimeAssignment":
-        return cls(tuple(first_n_primes(n)))
+        return cls(_first_primes(n))
 
 
 class WeightedVertex(NamedTuple):

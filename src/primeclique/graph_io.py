@@ -19,6 +19,13 @@ errors. The clique text format is byte-exact: one clique per line, vertex
 ids ascending and space-separated, lines sorted lexicographically as
 strings, optional tab-separated decimal clique id, trailing newline.
 ``write_cliques`` prints the ids it is handed and recomputes none.
+
+Both the one-pass parse and ``write_cliques`` read vertex names from one
+table kept for the life of the process: the decimal names ``str(k)`` of 0
+to some top, and its inverse, each name but ``"0"`` to its id. A call that
+needs more names builds a larger table and rebinds the module name to it;
+a table is never changed in place, so a concurrent reader always holds a
+whole one.
 """
 
 import math
@@ -42,6 +49,23 @@ __all__ = [
     "SplitMix64",
 ]
 
+# The name table (module docstring): the names of 0..top, and each name but
+# "0" to its id. Rebound to a larger pair, never mutated. The names are a
+# list, not a tuple, as list.__getitem__ is a method that map calls directly
+# and tuple's a slot wrapper, about twice as slow per member named.
+_names: tuple[list[str], dict[str, int]] = (["0"], {})
+
+
+def _name_table(top: int) -> tuple[list[str], dict[str, int]]:
+    """The name table, grown first where it stops below ``top``."""
+    global _names
+    table = _names
+    names = table[0]
+    if len(names) <= top:
+        names = [*names, *map(str, range(len(names), top + 1))]
+        table = _names = (names, dict(zip(islice(names, 1, None), range(1, top + 1))))
+    return table
+
 
 def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS edge format; errors carry the offending line number.
@@ -58,14 +82,18 @@ def _parse_dimacs_tokens(text: str) -> Graph | None:
 
     * the text holds no whitespace but spaces and newlines, since its length
       is that of its tokens, spaces and newlines;
-    * a token ``e`` cannot be an id, which is read through a table of the
-      names ``"1"`` to ``str(min(N, tokens))``, nor N or M, which are read
+    * a token ``e`` cannot be an id, which is read through the inverse of
+      the name table, ``"1"`` to its top's name, nor N or M, which are read
       by ``int``; so each of the ``records`` newlines followed by ``"e "``
       starts a record, and since there are no other newlines but a final
       one, every record starts a line and no line breaks one.
 
-    The table also rejects ids out of range and in any other spelling, and
-    it holds no more names than the text has tokens, whatever N is.
+    The table holds no ``"0"`` and only canonical spellings, so it rejects
+    every other spelling and each id it reads is at least 1. It may hold
+    names past N that an earlier call needed, so its size proves no range:
+    ``u < v`` and ``max(vs) <= min(N, tokens)`` do, the same bound whatever
+    the table's history, and this call grows the table to that bound only,
+    no more names than the text has tokens, whatever N is.
     """
     tokens = text.split()
     records, odd = divmod(len(tokens) - 4, 3)
@@ -85,13 +113,14 @@ def _parse_dimacs_tokens(text: str) -> Graph | None:
         return None
     if n < 0:
         return None
-    named = {str(k): k for k in range(1, min(n, len(tokens)) + 1)}.__getitem__
+    top = min(n, len(tokens))
+    named = _name_table(top)[1].__getitem__
     try:
         us = list(map(named, tokens[5::3]))
         vs = list(map(named, tokens[6::3]))
     except KeyError:
         return None
-    if not all(map(lt, us, vs)):
+    if not all(map(lt, us, vs)) or max(vs, default=0) > top:
         return None
     return Graph(n, frozenset(zip(us, vs)))
 
@@ -301,19 +330,22 @@ def write_cliques(cliques: Iterable[Iterable[int]] | Mapping[int, Iterable[int]]
     ``solve_graph`` returns, each line gains a tab and the decimal id; given
     a plain iterable of cliques, lines carry no id. Each clique is read and
     sorted once, so any iterable of members will do. Members are named from
-    a table of decimal strings built once per call, not by one ``str`` call
-    per member per line.
+    the name table the process keeps (module docstring), not by one ``str``
+    call per member per line.
     """
     with_ids = isinstance(cliques, Mapping)
     rows = list(map(sorted, cliques.values() if with_ids else cliques))
-    # A table over 0..top is used when it holds no more names than the lines
-    # print, so that building it costs no more than naming each member (true
-    # of solve_graph's output, where each vertex is in some clique), and when
-    # no member is negative, which would index it from the end.
+    # The table over 0..top is used when no member is negative, which would
+    # index it from the end, and when it already covers top or, grown to top,
+    # would hold no more names than the lines print, so that growing it costs
+    # no more than naming each member (true of solve_graph's output, where
+    # each vertex is in some clique).
     filled = list(filter(None, rows))
     top = max(map(itemgetter(-1), filled), default=0)
-    if min(map(itemgetter(0), filled), default=0) >= 0 and top < sum(map(len, filled)):
-        name = list(map(str, range(top + 1))).__getitem__
+    if min(map(itemgetter(0), filled), default=0) >= 0 and (
+        top < len(_names[0]) or top < sum(map(len, filled))
+    ):
+        name = _name_table(top)[0].__getitem__
     else:
         name = str
     lines = list(map(" ".join, map(map, repeat(name), rows)))

@@ -187,7 +187,7 @@ paper's literal step, ids, order and stats.
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -322,20 +322,21 @@ def _merge(kept: Record, other: Record) -> Record:
     return (kept[0] * other[0], kept[1] + other[1], math.gcd(kept[2], other[2]))
 
 
-def _peel(eg: EncodedGraph, settled: bytearray, emitted: dict[int, tuple[int, ...]]) -> int:
-    """Peel the low-degree fringe (module docstring): mark each peeled vertex
-    in ``settled``, emit the maximal cliques it is the first-peeled member of
-    into ``emitted``, in worklist order, and return how many vertices peeled."""
+def _peel(eg: EncodedGraph, unpeeled: bytearray, emitted: dict[int, tuple[int, ...]]) -> int:
+    """Peel the low-degree fringe (module docstring): clear each peeled
+    vertex's flag in ``unpeeled``, emit the maximal cliques it is the
+    first-peeled member of into ``emitted``, in worklist order, and return
+    how many vertices peeled."""
     neighbours, tuples = eg.neighbours, eg.tuples
     gcd = math.gcd
     remaining = [len(walk) for walk in neighbours]
     peel = [v for v, degree in enumerate(remaining, 1) if degree <= 2]
     for v in peel:
-        settled[v - 1] = 1
+        unpeeled[v - 1] = 0
         # u and x: v's first and second unpeeled neighbours, 0 where absent.
         u = x = 0
         for t in neighbours[v - 1]:
-            if settled[t - 1]:
+            if not unpeeled[t - 1]:
                 continue
             if u:
                 x = t
@@ -398,20 +399,19 @@ def find_cliques(
     # The counters live in locals and reach SolverStats once, at the end.
     merges = splits = adjacent_count = case2 = pruned = 0
     emitted: dict[int, tuple[int, ...]] = {}
-    settled = bytearray(len(eg.tuples))
-    peeled = _peel(eg, settled, emitted) if sanitize else 0
+    unpeeled = bytearray(b"\1") * len(eg.tuples)
+    peeled = _peel(eg, unpeeled, emitted) if sanitize else 0
 
     # An entry: weight -> record, merging equal weights; the record's first
     # member -> weight; and the heap of weights. The root holds the
-    # unpeeled vertices; sanitized, only the first of each class of false
-    # twins, keyed by its open neighbourhood, weight // value.
+    # unpeeled vertices, which compress picks out without a step per peeled
+    # one; sanitized, only the first of each class of false twins, keyed by
+    # its open neighbourhood, weight // value.
     tuples: dict[int, Record] = {}
     weight_of: dict[int, int] = {}
     first: dict[int, int] = {}
     twins: dict[int, list[int]] = {}
-    for vertex, (value, weight) in enumerate(eg.tuples, 1):
-        if settled[vertex - 1]:
-            continue
+    for vertex, (value, weight) in compress(enumerate(eg.tuples, 1), unpeeled):
         if sanitize:
             representative = first.setdefault(weight // value, vertex)
             if representative != vertex:

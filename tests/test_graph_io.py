@@ -191,6 +191,38 @@ def test_one_pass_parse_memory_does_not_grow_with_the_vertex_count():
         assert _parse_dimacs_tokens(text) == g
 
 
+def test_name_table_grown_by_a_large_graph_changes_no_parse():
+    # Once a 1000-vertex path has grown the name table past every id below,
+    # the one-pass parse still rejects an id over N, and every other spelling
+    # of an id still goes to the line loop, with the same graph or error.
+    path = gen_path(1000)
+    assert _parse_dimacs_tokens(write_dimacs(path)) == path
+    text = "p edge 5 1\ne 1 7\n"
+    assert _parse_dimacs_tokens(text) is None
+    with pytest.raises(ParseError, match="vertex out of range") as exc_info:
+        parse_dimacs(text)
+    assert exc_info.value.line == 2
+    for text, outcome in [
+        ("p edge 8 1\ne 0 3\n", ("vertex out of range, line 2", 2)),
+        ("p edge 8 1\ne 1 +3\n", Graph(8, frozenset({(1, 3)}))),
+        ("p edge 8 1\ne 1 007\n", Graph(8, frozenset({(1, 7)}))),
+    ]:
+        assert _parse_dimacs_tokens(text) is None
+        assert parse_outcome(parse_dimacs, text) == outcome
+
+
+def test_name_table_grown_past_ten_thousand_changes_no_output():
+    # The pins of test_write_cliques_reads_each_clique_once_and_names_every_member,
+    # after a parse has grown the table past 10^4: a negative member and too
+    # few names still print each member by itself.
+    path = gen_path(12000)
+    assert parse_dimacs(write_dimacs(path)) == path
+    assert len(graph_io._names[0]) > 10**4
+    plain = ((v for v in c) for c in ([10, 9], [10000, 0], [9, 10], []))
+    assert write_cliques(plain) == "\n0 10000\n9 10\n9 10\n"
+    assert write_cliques(iter(c) for c in ([2, 1], [1, -1, 2], [0, 2])) == "-1 1 2\n0 2\n1 2\n"
+
+
 @given(graphs(min_n=2, max_n=12))
 @settings(max_examples=150)
 def test_edge_list_round_trip(g):
@@ -345,7 +377,8 @@ def test_write_cliques_reads_each_clique_once_and_names_every_member():
     }
     run = " ".join(map(str, range(10001)))
     assert write_cliques(with_ids) == f"{run}\t2\n0 10\t3\n0 9 10000\t7\n9\t13\n9 10\t110\n"
-    # Too few names for a table over 0..10000: each member is named by itself.
+    # Too few names to grow a table over 0..10000 (the first call grew one,
+    # so here it is read): the bytes of naming each member by itself.
     plain = ((v for v in c) for c in ([10, 9], [10000, 0], [9, 10], []))
     assert write_cliques(plain) == "\n0 10000\n9 10\n9 10\n"
     # Enough names for a table over 0..2, but -1 would index it from its end

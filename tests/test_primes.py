@@ -46,6 +46,26 @@ def test_first_n_primes_matches_trial_division():
         assert first_n_primes(n) == primes[:n]
 
 
+def test_first_n_primes_does_not_depend_on_earlier_calls():
+    # The process keeps one table of primes and grows it on demand: large,
+    # small and large requests in turn each read a fresh sieve's primes.
+    fresh = _sieve(10_000)
+    for n in (1000, 5, 600, 0, 1200, 1):
+        assert first_n_primes(n) == fresh[:n]
+        assert PrimeAssignment.default(n) == PrimeAssignment(tuple(fresh[:n]))
+
+
+def test_first_n_primes_returns_a_list_no_later_call_sees():
+    got = first_n_primes(600)
+    got[0] = 4
+    got.append(9)
+    del got[1:]
+    fresh = _sieve(10_000)
+    assert first_n_primes(600) == fresh[:600]
+    assert first_n_primes(700) == fresh[:700]
+    assert PrimeAssignment.default(600).primes == tuple(fresh[:600])
+
+
 def test_sieve_matches_trial_division():
     for limit in range(301):
         assert _sieve(limit) == [p for p in range(limit + 1) if trial_division(p)]
