@@ -21,17 +21,18 @@ strings, optional tab-separated decimal clique id, trailing newline.
 ``write_cliques`` prints the ids it is handed and recomputes none.
 
 Both the one-pass parse and ``write_cliques`` read vertex names from one
-table kept for the life of the process: the decimal names ``str(k)`` of 0
-to some top, and its inverse, each name but ``"0"`` to its id. A call that
-needs more names builds a larger table and rebinds the module name to it;
-a table is never changed in place, so a concurrent reader always holds a
-whole one.
+table kept for the life of the process: each id 1..top to ``str(id)``, and
+its inverse. Looking up anything else, 0, a negative or a non-canonical
+spelling, is a ``KeyError``. A call grows it to its largest id, but to no
+more ids than the call has tokens or members, by building a larger table
+and rebinding the module name to it; a table is never changed in place, so
+a concurrent reader always holds a whole one.
 """
 
 import math
 from collections.abc import Iterable, Mapping
 from itertools import combinations, compress, islice, repeat
-from operator import itemgetter, lt
+from operator import itemgetter
 
 from .encoding import Graph
 from .errors import ParseError
@@ -49,21 +50,19 @@ __all__ = [
     "SplitMix64",
 ]
 
-# The name table (module docstring): the names of 0..top, and each name but
-# "0" to its id. Rebound to a larger pair, never mutated. The names are a
-# list, not a tuple, as list.__getitem__ is a method that map calls directly
-# and tuple's a slot wrapper, about twice as slow per member named.
-_names: tuple[list[str], dict[str, int]] = (["0"], {})
+# The name table (module docstring): each id 1..top to its name, and each
+# name to its id. Rebound to a larger pair, never mutated.
+_names: tuple[dict[int, str], dict[str, int]] = ({}, {})
 
 
-def _name_table(top: int) -> tuple[list[str], dict[str, int]]:
-    """The name table, grown first where it stops below ``top``."""
+def _name_table(top: int) -> tuple[dict[int, str], dict[str, int]]:
+    """The name table, rebuilt over 1..``top`` first where it stops below."""
     global _names
     table = _names
-    names = table[0]
-    if len(names) <= top:
-        names = [*names, *map(str, range(len(names), top + 1))]
-        table = _names = (names, dict(zip(islice(names, 1, None), range(1, top + 1))))
+    if len(table[0]) < top:
+        ids = range(1, top + 1)
+        names = list(map(str, ids))
+        table = _names = (dict(zip(ids, names)), dict(zip(names, ids)))
     return table
 
 
@@ -88,12 +87,13 @@ def _parse_dimacs_tokens(text: str) -> Graph | None:
       starts a record, and since there are no other newlines but a final
       one, every record starts a line and no line breaks one.
 
-    The table holds no ``"0"`` and only canonical spellings, so it rejects
-    every other spelling and each id it reads is at least 1. It may hold
-    names past N that an earlier call needed, so its size proves no range:
-    ``u < v`` and ``max(vs) <= min(N, tokens)`` do, the same bound whatever
-    the table's history, and this call grows the table to that bound only,
-    no more names than the text has tokens, whatever N is.
+    The table holds only the canonical spellings of 1 to its top, so it
+    rejects every other spelling, ``"0"`` and signs included. Order and
+    range, u < v <= N with N >= 0, are ``Graph``'s checks; where it raises,
+    the line loop names the error. The table may hold names past N that an
+    earlier call needed: ``max(vs) <= min(N, tokens)`` rejects those, so
+    which path a text takes depends on the text only, and this call grows
+    the table to that bound only, no more names than the text has tokens.
     """
     tokens = text.split()
     records, odd = divmod(len(tokens) - 4, 3)
@@ -111,8 +111,6 @@ def _parse_dimacs_tokens(text: str) -> Graph | None:
         int(tokens[3])
     except ValueError:
         return None
-    if n < 0:
-        return None
     top = min(n, len(tokens))
     named = _name_table(top)[1].__getitem__
     try:
@@ -120,9 +118,12 @@ def _parse_dimacs_tokens(text: str) -> Graph | None:
         vs = list(map(named, tokens[6::3]))
     except KeyError:
         return None
-    if not all(map(lt, us, vs)) or max(vs, default=0) > top:
+    if max(vs, default=0) > top:
         return None
-    return Graph(n, frozenset(zip(us, vs)))
+    try:
+        return Graph(n, frozenset(zip(us, vs)))
+    except ValueError:
+        return None
 
 
 def _parse_dimacs_lines(text: str) -> Graph:
@@ -330,25 +331,19 @@ def write_cliques(cliques: Iterable[Iterable[int]] | Mapping[int, Iterable[int]]
     ``solve_graph`` returns, each line gains a tab and the decimal id; given
     a plain iterable of cliques, lines carry no id. Each clique is read and
     sorted once, so any iterable of members will do. Members are named from
-    the name table the process keeps (module docstring), not by one ``str``
-    call per member per line.
+    the name table the process keeps (module docstring), grown to the
+    largest member but to no more ids than the lines print members, so
+    growing it costs no more than naming them. If a member is not in it,
+    every member is named by ``str``.
     """
     with_ids = isinstance(cliques, Mapping)
     rows = list(map(sorted, cliques.values() if with_ids else cliques))
-    # The table over 0..top is used when no member is negative, which would
-    # index it from the end, and when it already covers top or, grown to top,
-    # would hold no more names than the lines print, so that growing it costs
-    # no more than naming each member (true of solve_graph's output, where
-    # each vertex is in some clique).
-    filled = list(filter(None, rows))
-    top = max(map(itemgetter(-1), filled), default=0)
-    if min(map(itemgetter(0), filled), default=0) >= 0 and (
-        top < len(_names[0]) or top < sum(map(len, filled))
-    ):
-        name = _name_table(top)[0].__getitem__
-    else:
-        name = str
-    lines = list(map(" ".join, map(map, repeat(name), rows)))
+    top = max(map(itemgetter(-1), filter(None, rows)), default=0)
+    name = _name_table(min(top, sum(map(len, rows))))[0].__getitem__
+    try:
+        lines = list(map(" ".join, map(map, repeat(name), rows)))
+    except KeyError:
+        lines = list(map(" ".join, map(map, repeat(str), rows)))
     if with_ids:
         lines = [f"{line}\t{i}" for line, i in zip(lines, cliques)]
     # A line that is a prefix of another is followed there by a space, a

@@ -213,8 +213,8 @@ def test_name_table_grown_by_a_large_graph_changes_no_parse():
 
 def test_name_table_grown_past_ten_thousand_changes_no_output():
     # The pins of test_write_cliques_reads_each_clique_once_and_names_every_member,
-    # after a parse has grown the table past 10^4: a negative member and too
-    # few names still print each member by itself.
+    # after a parse has grown the table over 1..12000: a member the table
+    # lacks, 0 or a negative, still prints each member by itself.
     path = gen_path(12000)
     assert parse_dimacs(write_dimacs(path)) == path
     assert len(graph_io._names[0]) > 10**4
@@ -366,8 +366,8 @@ def test_write_cliques_orders_lines_as_strings():
 
 def test_write_cliques_reads_each_clique_once_and_names_every_member():
     # One-shot members, unsorted, and members across every change of digit
-    # count, 0 included. The descending run 10000..0 holds enough names for
-    # the call to use a name table over 0..10000.
+    # count, 0 included. The descending run 10000..0 prints enough members
+    # for the call to grow the name table to 10000, and its 0 is not in it.
     with_ids = {
         110: (v for v in (10, 9)),
         7: iter([10000, 0, 9]),
@@ -377,10 +377,56 @@ def test_write_cliques_reads_each_clique_once_and_names_every_member():
     }
     run = " ".join(map(str, range(10001)))
     assert write_cliques(with_ids) == f"{run}\t2\n0 10\t3\n0 9 10000\t7\n9\t13\n9 10\t110\n"
-    # Too few names to grow a table over 0..10000 (the first call grew one,
-    # so here it is read): the bytes of naming each member by itself.
+    # Too few members to grow the table to 10000 (the first call grew it, so
+    # here it is read): the bytes of naming each member by itself.
     plain = ((v for v in c) for c in ([10, 9], [10000, 0], [9, 10], []))
     assert write_cliques(plain) == "\n0 10000\n9 10\n9 10\n"
-    # Enough names for a table over 0..2, but -1 would index it from its end
-    # and print as 2.
+    # Enough members to grow the table to 2, but -1 and 0 are not in it and
+    # must print as themselves.
     assert write_cliques(iter(c) for c in ([2, 1], [1, -1, 2], [0, 2])) == "-1 1 2\n0 2\n1 2\n"
+
+
+# Cliques whose members fall around every name table: negatives, 0, the ids
+# a grown table holds, ids past any table, and empty cliques.
+MEMBERS = st.one_of(st.integers(-12, 1100), st.sampled_from([-(10**9), 10**6, 10**12]))
+CLIQUES = st.lists(MEMBERS, max_size=6)
+GROWN = write_dimacs(gen_path(1200))
+
+
+def reference_write_cliques(cliques):
+    """Each member named by str, each clique sorted, the lines sorted."""
+    if isinstance(cliques, dict):
+        lines = [" ".join(map(str, sorted(c))) + f"\t{i}\n" for i, c in cliques.items()]
+    else:
+        lines = [" ".join(map(str, sorted(c))) + "\n" for c in cliques]
+    return "".join(sorted(lines))
+
+
+@given(st.one_of(st.lists(CLIQUES, max_size=8), st.dictionaries(st.integers(1, 10**12), CLIQUES, max_size=8)))
+@settings(max_examples=200, deadline=None)
+def test_write_cliques_equals_naming_each_member_by_str(cliques):
+    # On a fresh name table, and again after a parse grew it over 1..1200.
+    expected = reference_write_cliques(cliques)
+    kept = graph_io._names
+    try:
+        graph_io._names = ({}, {})
+        assert write_cliques(cliques) == expected
+        parse_dimacs(GROWN)
+        assert len(graph_io._names[0]) == 1200
+        assert write_cliques(cliques) == expected
+    finally:
+        graph_io._names = kept
+
+
+def test_write_cliques_grows_no_table_past_the_members_it_prints(monkeypatch):
+    # A table over 1..10^6 would take about 100 MB, and over 1..10^9 far more.
+    for cliques, out in [([[10**9]], "1000000000\n"), ({2: (1, 10**6)}, "1 1000000\t2\n")]:
+        monkeypatch.setattr(graph_io, "_names", ({}, {}))
+        tracemalloc.start()
+        try:
+            text = write_cliques(cliques)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert text == out
