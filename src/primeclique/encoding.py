@@ -11,7 +11,6 @@ Vertex ids are 1-based and contiguous, following the DIMACS convention.
 """
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .errors import IntegrityError
@@ -81,11 +80,11 @@ class PrimeAssignment:
 
 
 class WeightedVertex(NamedTuple):
-    """A vertex value and its closed-neighborhood weight.
+    """A value and its closed-neighborhood weight, as the solver's list helpers take them.
 
-    Fresh encodings carry a single prime as the value; the solver's merge
-    step may replace it with a squarefree product of several vertex primes.
-    The value always divides the weight.
+    A vertex's value is its prime; the solver's merge step may replace it
+    with a squarefree product of several vertex primes. The value always
+    divides the weight.
     """
 
     value: int
@@ -94,41 +93,39 @@ class WeightedVertex(NamedTuple):
 
 @dataclass(frozen=True)
 class EncodedGraph:
-    """One WeightedVertex per vertex (index k-1 <-> vertex k), their n primes,
-    and each vertex's open neighbourhood: ``neighbours[k - 1]`` lists vertex
-    k's neighbours as vertex ids.
+    """The paper's tables, indexed by vertex id, slot 0 a placeholder
+    holding 1, 1 and ``[]``: ``values[k]`` is vertex k's prime,
+    ``weights[k]`` the product of the primes over its closed neighbourhood
+    and ``neighbours[k]`` its neighbours' ids. ``assignment`` holds the
+    primes without slot 0.
 
-    The lists let the solver reach a vertex's neighbours without a scan.
+    The lists let the solver reach a vertex's neighbours without a scan;
+    they cost less to build than tuples, and nothing may change them.
     ``encode`` builds it; one built by hand is not checked.
     """
 
-    tuples: tuple[WeightedVertex, ...]
-    assignment: PrimeAssignment
+    values: tuple[int, ...]
+    weights: tuple[int, ...]
     neighbours: tuple[list[int], ...]
+    assignment: PrimeAssignment
 
 
 def encode(g: Graph) -> EncodedGraph:
     """Encode a graph: vertex k gets value = the k-th prime, weight = product over N[k].
 
     The same pass over the edges fills the neighbour lists, each in the
-    order of ``g.edges``. Its tables are indexed by vertex id, with a slot 0
-    that is dropped after, so the pass does no index arithmetic.
+    order of ``g.edges``.
     """
     assignment = PrimeAssignment.default(g.n)
-    primes = assignment.primes
-    value = (1, *primes)
-    weights = list(value)
-    neighbours: list[list[int]] = [[] for _ in value]
+    values = (1, *assignment.primes)
+    weights = list(values)
+    neighbours: list[list[int]] = [[] for _ in values]
     for u, v in g.edges:
-        weights[u] *= value[v]
-        weights[v] *= value[u]
+        weights[u] *= values[v]
+        weights[v] *= values[u]
         neighbours[u].append(v)
         neighbours[v].append(u)
-    del weights[0], neighbours[0]
-    # tuple.__new__ builds each WeightedVertex from its pair without the
-    # Python-level __new__ that NamedTuple gives the class.
-    tuples = tuple(map(tuple.__new__, repeat(WeightedVertex), zip(primes, weights)))
-    return EncodedGraph(tuples, assignment, tuple(neighbours))
+    return EncodedGraph(values, tuple(weights), tuple(neighbours), assignment)
 
 
 def decode_clique(clique_id: int, assignment: PrimeAssignment) -> frozenset[int]:

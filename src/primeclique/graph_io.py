@@ -339,7 +339,8 @@ def write_cliques(cliques: Iterable[Iterable[int]] | Mapping[int, Iterable[int]]
     with_ids = isinstance(cliques, Mapping)
     rows = list(map(sorted, cliques.values() if with_ids else cliques))
     top = max(map(itemgetter(-1), filter(None, rows)), default=0)
-    name = _name_table(min(top, sum(map(len, rows))))[0].__getitem__
+    table = _names if top <= len(_names[0]) else _name_table(min(top, sum(map(len, rows))))
+    name = table[0].__getitem__
     try:
         lines = list(map(" ".join, map(map, repeat(name), rows)))
     except KeyError:

@@ -187,8 +187,7 @@ paper's literal step, ids, order and stats.
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import compress, product
-from operator import itemgetter
+from itertools import compress, islice, product
 from typing import Iterable, Sequence
 
 from . import encoding
@@ -327,35 +326,36 @@ def _peel(eg: EncodedGraph, unpeeled: bytearray, emitted: dict[int, tuple[int, .
     vertex's flag in ``unpeeled``, emit the maximal cliques it is the
     first-peeled member of into ``emitted``, in worklist order, and return
     how many vertices peeled."""
-    neighbours, tuples = eg.neighbours, eg.tuples
+    neighbours, values, weights = eg.neighbours, eg.values, eg.weights
     gcd = math.gcd
-    remaining = [len(walk) for walk in neighbours]
-    peel = [v for v, degree in enumerate(remaining, 1) if degree <= 2]
+    remaining = list(map(len, neighbours))
+    peel = [v for v, degree in enumerate(remaining) if degree <= 2]
+    del peel[0]  # slot 0, no vertex, always first: its list is empty
     for v in peel:
-        unpeeled[v - 1] = 0
+        unpeeled[v] = 0
         # u and x: v's first and second unpeeled neighbours, 0 where absent.
         u = x = 0
-        for t in neighbours[v - 1]:
-            if not unpeeled[t - 1]:
+        for t in neighbours[v]:
+            if not unpeeled[t]:
                 continue
             if u:
                 x = t
             else:
                 u = t
-            remaining[t - 1] -= 1
-            if remaining[t - 1] == 2:
+            remaining[t] -= 1
+            if remaining[t] == 2:
                 peel.append(t)
-        p_v, w_v = tuples[v - 1]
+        p_v, w_v = values[v], weights[v]
         if w_v == p_v:
             # No neighbour's prime in v's weight: {v} is its only clique.
             emitted[p_v] = (v,)
         elif u:
-            p_u, w_u = tuples[u - 1]
-            g_u = gcd(w_v, w_u)
+            p_u = values[u]
+            g_u = gcd(w_v, weights[u])
             if g_u == p_v * p_u:
                 emitted[g_u] = (v, u)
             if x:
-                p_x, w_x = tuples[x - 1]
+                p_x, w_x = values[x], weights[x]
                 g_x = gcd(w_v, w_x)
                 if g_x == p_v * p_x:
                     emitted[g_x] = (v, x)
@@ -394,12 +394,14 @@ def find_cliques(
     which only a fault in ``eg`` makes: it raises IntegrityError.
     """
     # Heap keys are -weight, so heap[0] holds the pivot's weight.
-    neighbours = eg.neighbours
+    neighbours, values, weights = eg.neighbours, eg.values, eg.weights
     gcd, heappop, heappush = math.gcd, heapq.heappop, heapq.heappush
     # The counters live in locals and reach SolverStats once, at the end.
     merges = splits = adjacent_count = case2 = pruned = 0
     emitted: dict[int, tuple[int, ...]] = {}
-    unpeeled = bytearray(b"\1") * len(eg.tuples)
+    # Slot 0 is no vertex: it starts peeled, out of the peel and the root.
+    unpeeled = bytearray(b"\1") * len(values)
+    unpeeled[0] = 0
     peeled = _peel(eg, unpeeled, emitted) if sanitize else 0
 
     # An entry: weight -> record, merging equal weights; the record's first
@@ -411,7 +413,7 @@ def find_cliques(
     weight_of: dict[int, int] = {}
     first: dict[int, int] = {}
     twins: dict[int, list[int]] = {}
-    for vertex, (value, weight) in compress(enumerate(eg.tuples, 1), unpeeled):
+    for vertex, value, weight in compress(zip(range(len(values)), values, weights), unpeeled):
         if sanitize:
             representative = first.setdefault(weight // value, vertex)
             if representative != vertex:
@@ -427,12 +429,11 @@ def find_cliques(
     if twins:
         # Per vertex id, its class's members and their primes, representative
         # first: (v,) and (p_v,) for a vertex that represents no class.
-        primes = (1, *map(itemgetter(0), eg.tuples))
-        members_of = list(zip(range(len(primes))))
-        primes_of = list(zip(primes))
+        members_of = list(zip(range(len(values))))
+        primes_of = list(zip(values))
         for r, left_out in twins.items():
             members_of[r] += tuple(left_out)
-            primes_of[r] += tuple(map(primes.__getitem__, left_out))
+            primes_of[r] += tuple(map(values.__getitem__, left_out))
     heap = [-weight for weight in tuples]
     heapq.heapify(heap)
     # The last field is the entry's guard (module docstring), 0 until set.
@@ -461,7 +462,7 @@ def find_cliques(
                 # Sanitized, the first split of an unguarded entry makes the
                 # pivot's vertex its guard: the heap then holds only free tuples.
                 if sanitize and not guard:
-                    guard = eg.tuples[pivot_vertex - 1].value
+                    guard = values[pivot_vertex]
                 # Every vertex of a tuple adjacent to the pivot is an input
                 # neighbour of each pivot vertex, and weight_of holds one
                 # vertex per live tuple, so either sequence finds each
@@ -469,7 +470,7 @@ def find_cliques(
                 # Plain loops, not comprehensions: before Python 3.12 a name a
                 # comprehension reads is a cell of the whole function, slower
                 # to reach in every step.
-                walk = neighbours[pivot_vertex - 1]
+                walk = neighbours[pivot_vertex]
                 adjacent = []
                 if len(weight_of) < len(walk):
                     for v, weight in weight_of.items():
@@ -566,7 +567,7 @@ def find_cliques(
                 break
     # Every weight the enumeration forms divides an input weight (partition
     # divides or takes a gcd, elimination divides), so the input is widest.
-    max_weight_bits = max(map(int.bit_length, map(itemgetter(1), eg.tuples)), default=0)
+    max_weight_bits = max(map(int.bit_length, islice(weights, 1, None)), default=0)
     return emitted, SolverStats(
         merges=merges,
         pivot_splits=splits,
@@ -617,12 +618,12 @@ def _decode_clique_checked(clique_id: int, eg: EncodedGraph) -> tuple[int, ...]:
     weight of each of them.
     """
     members = sorted(encoding.decode_clique(clique_id, eg.assignment))
-    tuples = eg.tuples
-    if any(tuples[v - 1].weight % clique_id for v in members):
+    values, weights = eg.values, eg.weights
+    if any(weights[v] % clique_id for v in members):
         # Name a non-adjacent pair, the smaller vertex first; on a symmetric
         # encoding it is the first such pair (a, b), a < b.
-        a = min(v for v in members if tuples[v - 1].weight % clique_id)
-        b = min(v for v in members if tuples[a - 1].weight % tuples[v - 1].value)
+        a = min(v for v in members if weights[v] % clique_id)
+        b = min(v for v in members if weights[a] % values[v])
         a, b = sorted((a, b))
         raise IntegrityError(
             f"id {clique_id} decodes to a non-clique: "

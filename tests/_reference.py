@@ -12,7 +12,8 @@ the recursion, so it is checked against ``sanitize`` of this output instead.
 ``reference_peel`` is sanitized mode's fringe peel with each vertex's
 cliques grown one neighbour at a time, not settled in closed form.
 ``assert_records_hold`` checks each recorded member list against the
-encoding, a check the solver does not run.
+encoding, a check the solver does not run. ``weighted_vertices`` is the
+literal step's input, one tuple per vertex.
 """
 
 import math
@@ -27,6 +28,12 @@ from primeclique.solver import (
     partition_by_pivot,
     sort_by_weight,
 )
+
+
+def weighted_vertices(eg: EncodedGraph) -> list[WeightedVertex]:
+    """One (value, weight) tuple per vertex, vertex 1 first: the encoding's
+    tables without their slot 0."""
+    return [WeightedVertex(eg.values[v], eg.weights[v]) for v in range(1, len(eg.values))]
 
 
 def reference_find_cliques(q: Sequence[WeightedVertex]) -> tuple[list[int], SolverStats]:
@@ -71,21 +78,21 @@ def reference_peel(eg: EncodedGraph) -> tuple[list[tuple[int, tuple[int, ...]]],
     candidate whose ``g`` it divides by ``p_u``. A candidate is emitted iff
     ``g`` equals its id.
     """
-    tuples, neighbours = eg.tuples, eg.neighbours
-    remaining = [len(walk) for walk in neighbours]
-    peel = [v for v in range(1, len(tuples) + 1) if remaining[v - 1] <= 2]
+    values, weights, neighbours = eg.values, eg.weights, eg.neighbours
+    remaining = {v: len(neighbours[v]) for v in range(1, len(values))}
+    peel = [v for v, degree in remaining.items() if degree <= 2]
     settled = set()
     emitted: dict[int, tuple[int, ...]] = {}
     for v in peel:
         settled.add(v)
-        candidates = [(tuples[v - 1].value, tuples[v - 1].weight, (v,))]
-        for u in neighbours[v - 1]:
+        candidates = [(values[v], weights[v], (v,))]
+        for u in neighbours[v]:
             if u in settled:
                 continue
-            remaining[u - 1] -= 1
-            if remaining[u - 1] == 2:
+            remaining[u] -= 1
+            if remaining[u] == 2:
                 peel.append(u)
-            p_u, w_u = tuples[u - 1]
+            p_u, w_u = values[u], weights[u]
             candidates += [
                 (clique_id * p_u, math.gcd(g, w_u), members + (u,))
                 for clique_id, g, members in candidates
@@ -101,8 +108,8 @@ def assert_records_hold(cliques: Mapping[int, Sequence[int]], eg: EncodedGraph) 
     """Assert that each id's recorded members are distinct vertex ids 1..n,
     that their k-th primes multiply to the id, and that the id divides each
     member's input weight, so the members are pairwise adjacent."""
-    tuples = eg.tuples
-    n = len(tuples)
+    weights = eg.weights
+    n = len(weights) - 1
     primes = first_n_primes(n)
     for clique_id, members in cliques.items():
         assert len(set(members)) == len(members), f"id {clique_id}: repeated member in {members}"
@@ -110,7 +117,7 @@ def assert_records_hold(cliques: Mapping[int, Sequence[int]], eg: EncodedGraph) 
         assert math.prod(primes[v - 1] for v in members) == clique_id, (
             f"id {clique_id}: the primes of {members} multiply to another id"
         )
-        assert not any(tuples[v - 1].weight % clique_id for v in members), (
+        assert not any(weights[v] % clique_id for v in members), (
             f"id {clique_id}: not every member of {members} is adjacent to the rest"
         )
 
@@ -123,7 +130,7 @@ def has_edge(eg: EncodedGraph, i: int, j: int) -> bool:
     """
     if i == j:
         return False
-    return eg.tuples[j - 1].weight % eg.tuples[i - 1].value == 0
+    return eg.weights[j] % eg.values[i] == 0
 
 
 def is_clique(g: Graph, s: set[int]) -> bool:
@@ -154,16 +161,16 @@ def decode_graph(eg: EncodedGraph) -> Graph:
     a value missing from its own weight, or divisibility holding in only
     one direction between a pair of vertices.
     """
-    tuples = eg.tuples
-    n = len(tuples)
+    values, weights = eg.values, eg.weights
+    n = len(values) - 1
     edges = set()
     for i in range(1, n + 1):
-        value, weight = tuples[i - 1]
+        value, weight = values[i], weights[i]
         if weight % value:
             raise IntegrityError(f"vertex {i}: value does not divide its own weight")
         for j in range(i + 1, n + 1):
-            ij = tuples[j - 1].weight % value == 0  # the prime of i divides j's weight
-            ji = weight % tuples[j - 1].value == 0
+            ij = weights[j] % value == 0  # the prime of i divides j's weight
+            ji = weight % values[j] == 0
             if ij != ji:
                 raise IntegrityError(
                     f"asymmetric adjacency between vertices {i} and {j}"

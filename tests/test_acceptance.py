@@ -137,13 +137,13 @@ def test_criterion_6_encoding_invariants():
         adj = g.adjacency()
         primes = eg.assignment.primes
         for u in g.vertices():
-            value, weight = eg.tuples[u - 1]
+            value, weight = eg.values[u], eg.weights[u]
             assert weight % value == 0  # closure
             members = decode_clique(weight, eg.assignment)  # squarefree over the primes
             assert math.prod(primes[w - 1] for w in members) == weight
             for v in range(u + 1, g.n + 1):
                 assert has_edge(eg, u, v) == has_edge(eg, v, u)  # symmetry
-                shared = math.gcd(weight, eg.tuples[v - 1].weight)
+                shared = math.gcd(weight, eg.weights[v])
                 decoded = decode_clique(shared, eg.assignment)
                 assert decoded == (adj[u] | {u}) & (adj[v] | {v})
         assert decode_graph(eg) == g

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -7,14 +8,13 @@ from hypothesis import strategies as st
 from _reference import decode_graph, has_edge
 from _strategies import graphs
 from primeclique.encoding import (
-    EncodedGraph,
     Graph,
     PrimeAssignment,
-    WeightedVertex,
     decode_clique,
     encode,
 )
 from primeclique.errors import IntegrityError
+from primeclique.primes import first_n_primes
 
 
 def test_graph_rejects_bad_edges():
@@ -39,21 +39,24 @@ def test_assignment_default():
 
 def test_encode_p3_weights(p3):
     eg = encode(p3)
-    assert eg.tuples == (
-        WeightedVertex(2, 6),
-        WeightedVertex(3, 30),
-        WeightedVertex(5, 15),
-    )
+    assert eg.values == (1, 2, 3, 5)
+    assert eg.weights == (1, 6, 30, 15)
 
 
 def test_encode_k3_weights(k3):
     eg = encode(k3)
-    assert [t.weight for t in eg.tuples] == [30, 30, 30]
+    assert eg.weights == (1, 30, 30, 30)
 
 
 def test_encode_isolated_vertex():
     eg = encode(Graph(1))
-    assert eg.tuples == (WeightedVertex(2, 2),)
+    assert (eg.values, eg.weights, eg.neighbours) == ((1, 2), (1, 2), ([], []))
+
+
+def test_encode_empty_graph_is_slot_0_alone():
+    eg = encode(Graph(0))
+    assert (eg.values, eg.weights, eg.neighbours) == ((1,), (1,), ([],))
+    assert eg.assignment.primes == ()
 
 
 def test_has_edge_p3(p3):
@@ -100,24 +103,31 @@ def test_decode_graph_detects_corruption(p3):
     eg = encode(p3)
     # Drop vertex 1's prime from vertex 2's weight: adjacency now holds in
     # one direction only.
-    tuples = list(eg.tuples)
-    tuples[1] = WeightedVertex(3, 15)
+    assert eg.weights[2] == 30
+    faulty = dataclasses.replace(eg, weights=(1, 6, 15, 15))
     with pytest.raises(IntegrityError, match="asymmetric"):
-        decode_graph(EncodedGraph(tuple(tuples), eg.assignment, eg.neighbours))
+        decode_graph(faulty)
 
 
 @given(graphs(max_n=12))
 @settings(max_examples=150)
 def test_encode_builds_weighted_vertices_and_neighbour_lists_in_edge_order(g):
     eg = encode(g)
-    assert all(type(t) is WeightedVertex for t in eg.tuples)
+    # each table is indexed by vertex id, slot 0 a placeholder: value 1,
+    # weight 1 and no neighbour
+    primes = first_n_primes(g.n)
+    assert eg.values == (1, *primes)
+    assert eg.assignment.primes == tuple(primes)
+    adj = g.adjacency()
+    assert eg.weights == (1, *(math.prod(primes[v - 1] for v in adj[u] | {u}) for u in g.vertices()))
+    assert all(type(w) is int for w in eg.weights)
     # a plain loop over g.edges, in its iteration order: the peel's choice
     # of a vertex's first and second neighbours depends on it
-    neighbours = [[] for _ in range(g.n)]
+    neighbours = {u: [] for u in g.vertices()}
     for u, v in g.edges:
-        neighbours[u - 1].append(v)
-        neighbours[v - 1].append(u)
-    assert eg.neighbours == tuple(neighbours)
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    assert eg.neighbours == ([], *neighbours.values())
 
 
 @given(graphs(max_n=12))
@@ -125,7 +135,7 @@ def test_encode_builds_weighted_vertices_and_neighbour_lists_in_edge_order(g):
 def test_encode_symmetry_and_closure(g):
     eg = encode(g)
     for u in g.vertices():
-        assert eg.tuples[u - 1].weight % eg.tuples[u - 1].value == 0
+        assert eg.weights[u] % eg.values[u] == 0
         for v in range(u + 1, g.n + 1):
             assert has_edge(eg, u, v) == has_edge(eg, v, u)
 
@@ -137,9 +147,9 @@ def test_encode_weights_squarefree_and_track_degree(g):
     adj = g.adjacency()
     primes = eg.assignment.primes
     for u in g.vertices():
-        members = decode_clique(eg.tuples[u - 1].weight, eg.assignment)
+        members = decode_clique(eg.weights[u], eg.assignment)
         # residue 1 with one division per prime means squarefree
-        assert math.prod(primes[v - 1] for v in members) == eg.tuples[u - 1].weight
+        assert math.prod(primes[v - 1] for v in members) == eg.weights[u]
         assert len(members) == len(adj[u]) + 1
 
 
@@ -151,7 +161,7 @@ def test_gcd_of_weights_is_common_closed_neighborhood(g):
     for i in g.vertices():
         for j in g.vertices():
             expected = (adj[i] | {i}) & (adj[j] | {j})
-            shared = math.gcd(eg.tuples[i - 1].weight, eg.tuples[j - 1].weight)
+            shared = math.gcd(eg.weights[i], eg.weights[j])
             assert decode_clique(shared, eg.assignment) == expected
 
 

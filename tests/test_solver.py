@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -17,6 +18,7 @@ from _reference import (
     is_maximal,
     reference_find_cliques,
     reference_peel,
+    weighted_vertices,
 )
 from _strategies import (
     barabasi_albert,
@@ -79,7 +81,7 @@ def test_partition_by_pivot_p3(p3):
 def test_partition_by_pivot_g5(g5):
     # descending order puts vertex 2 (value 3, weight 330) first
     eg = encode(g5)
-    q = sort_by_weight(eg.tuples)
+    q = sort_by_weight(weighted_vertices(eg))
     assert q[0] == WV(3, 330)
     left, right, bound = partition_by_pivot(q[1:], q[0])
     assert left == [WV(2, 10), WV(11, 11), WV(5, 10)]
@@ -96,7 +98,7 @@ def test_partition_matches_neighborhood_arithmetic(g):
     # every right weight, non-neighbors of the pivot included, must be
     # N[t] - {p} - (the case-1 vertices)
     eg = encode(g)
-    q = sort_by_weight(eg.tuples)
+    q = sort_by_weight(weighted_vertices(eg))
     if not q:
         return
     pivot, rest = q[0], q[1:]
@@ -167,6 +169,47 @@ def test_find_cliques_fixtures(edges, n, expected_ids):
 def test_find_cliques_empty_and_singleton():
     assert find_cliques(encode(Graph(0)))[0] == {}
     assert find_cliques(encode(Graph(1)))[0] == {2: (1,)}
+
+
+# The encoding's slot 0 has value 1, weight 1 and no neighbour, so to an
+# unguarded peel or root it would look like an isolated vertex and come out
+# as {0}, id 1. Each graph's ids, members, order and SolverStats, sanitized
+# then raw; the K_4 on 2..5 reaches the root in both modes.
+SLOT_0_GRAPHS = [
+    pytest.param(Graph(0), [], [], (), (), id="empty"),
+    pytest.param(
+        Graph(3),
+        [(2, (1,)), (3, (2,)), (5, (3,))],
+        [(5, (3,)), (3, (2,)), (2, (1,))],
+        (0, 0, 0, 0, 3, 0, 3),
+        (0, 2, 0, 0, 3),
+        id="edgeless",
+    ),
+    pytest.param(
+        Graph.from_edges(4, [(2, 3), (3, 4), (2, 4)]),
+        [(2, (1,)), (105, (2, 3, 4))],
+        [(105, (2, 3, 4)), (2, (1,))],
+        (0, 0, 0, 0, 7, 0, 4),
+        (2, 1, 0, 0, 7),
+        id="isolated_1_triangle",
+    ),
+    pytest.param(
+        Graph.from_edges(5, [(2, 3), (3, 4), (4, 5), (2, 5), (2, 4), (3, 5)]),
+        [(2, (1,)), (1155, (2, 3, 4, 5))],
+        [(1155, (2, 3, 4, 5)), (2, (1,))],
+        (3, 0, 0, 0, 11, 0, 1),
+        (3, 1, 0, 0, 11),
+        id="isolated_1_k4",
+    ),
+]
+
+
+@pytest.mark.parametrize("g, exact, raw, exact_stats, raw_stats", SLOT_0_GRAPHS)
+def test_slot_0_never_reaches_an_output(g, exact, raw, exact_stats, raw_stats):
+    cliques, stats = solve_graph(g)
+    assert (list(cliques.items()), stats) == (exact, SolverStats(*exact_stats))
+    cliques, stats = solve_graph(g, sanitize=False)
+    assert (list(cliques.items()), stats) == (raw, SolverStats(*raw_stats))
 
 
 def test_complete_graph_collapses_in_one_call():
@@ -290,8 +333,7 @@ def test_solve_graph_deep_recursion():
 @given(graphs(min_n=2, max_n=12))
 @settings(max_examples=150)
 def test_partition_shrinks_both_sides(g):
-    tuples = encode(g).tuples
-    q = merge_equal_weights(sort_by_weight(tuples))
+    q = merge_equal_weights(sort_by_weight(weighted_vertices(encode(g))))
     if len(q) < 2:
         return
     left, right, _ = partition_by_pivot(q[1:], q[0])
@@ -303,7 +345,7 @@ def test_partition_shrinks_both_sides(g):
 @settings(max_examples=100)
 def test_pivot_multiplication_preserves_cliques(g):
     eg = encode(g)
-    q = merge_equal_weights(sort_by_weight(eg.tuples))
+    q = merge_equal_weights(sort_by_weight(weighted_vertices(eg)))
     if len(q) < 2:
         return
     pivot = q[0]
@@ -329,7 +371,7 @@ def test_raw_output_has_no_duplicate_ids():
     for i in range(60):
         g = gen_gnp(1 + (i % 12), [0.3, 0.6, 0.9][i % 3], seed=800 + i)
         eg = encode(g)
-        literal, _ = reference_find_cliques(eg.tuples)
+        literal, _ = reference_find_cliques(weighted_vertices(eg))
         assert len(literal) == len(set(literal))
         assert list(find_cliques(eg, sanitize=False)[0]) == literal
 
@@ -345,7 +387,7 @@ def test_exact_emission_equals_sanitized_literal_output(g):
     assert all(set(exact[c]) == set(literal[c]) for c in exact)
     assert not any(b % a == 0 for a in exact for b in exact if a != b)
     # maximal exactly when the members' input weights have the id as gcd
-    weights = {c: [eg.tuples[v - 1].weight for v in decode_clique(c, eg.assignment)] for c in literal}
+    weights = {c: [eg.weights[v] for v in decode_clique(c, eg.assignment)] for c in literal}
     assert exact.keys() == {c for c in literal if math.gcd(*weights[c]) == c}
 
 
@@ -367,7 +409,7 @@ def assert_matches_reference(g):
     eg = encode(g)
     # raw: ids in emission order and SolverStats
     raw, stats = find_cliques(eg, sanitize=False)
-    assert (list(raw), stats) == reference_find_cliques(eg.tuples)
+    assert (list(raw), stats) == reference_find_cliques(weighted_vertices(eg))
     # sanitized: the maximal ids among them, each with the same members
     exact, _ = find_cliques(eg)
     assert frozenset(exact) == sanitize(raw, eg)
@@ -390,7 +432,7 @@ def test_twin_blowups_match_bron_kerbosch_and_the_literal_steps(g):
     assert len(exact) == len(expected)
     assert set(map(frozenset, exact.values())) == set(expected)
     raw, stats = find_cliques(eg, sanitize=False)
-    assert (list(raw), stats) == reference_find_cliques(eg.tuples)
+    assert (list(raw), stats) == reference_find_cliques(weighted_vertices(eg))
     assert_records_hold(exact, eg)
     assert_records_hold(raw, eg)
 
@@ -407,7 +449,7 @@ def test_cores_with_fringe_match_bron_kerbosch_and_the_literal_steps(g):
     assert set(map(frozenset, exact.values())) == set(expected)
     assert_records_hold(exact, eg)
     raw, stats = find_cliques(eg, sanitize=False)
-    assert (list(raw), stats) == reference_find_cliques(eg.tuples)
+    assert (list(raw), stats) == reference_find_cliques(weighted_vertices(eg))
 
 
 REFERENCE_GRAPHS = {
@@ -594,15 +636,15 @@ def test_each_step_clique_is_followed_by_its_expansions_in_product_order(g):
     emitted = list(cliques.items())
     assert emitted[: len(ref)] == ref
     classes: dict[int, list[int]] = {}
-    for v, (value, weight) in enumerate(eg.tuples, 1):
-        classes.setdefault(weight // value, []).append(v)
+    for v in range(1, g.n + 1):
+        classes.setdefault(eg.weights[v] // eg.values[v], []).append(v)
     class_of = {v: members for members in classes.values() for v in members}
     rest = emitted[len(ref) :]
     while rest:
         base = rest[0][1]
         assert all(class_of[v][0] == v for v in base)
         run = [
-            (math.prod(eg.tuples[v - 1].value for v in members), members)
+            (math.prod(eg.values[v] for v in members), members)
             for members in product(*(class_of[v] for v in base))
         ]
         assert rest[: len(run)] == run
@@ -726,9 +768,10 @@ def asymmetric_encoding(g: Graph) -> EncodedGraph:
     neighbour lists join vertices 1 and 2, but vertex 2's weight 105 lacks
     vertex 1's prime."""
     eg = encode(g)
-    tuples = list(eg.tuples)
-    tuples[0] = WV(2, 6)
-    return EncodedGraph(tuple(tuples), eg.assignment, ([2], [3, 4, 1], [2], [2]))
+    assert eg.weights == (1, 2, 105, 15, 21)
+    return dataclasses.replace(
+        eg, weights=(1, 6, 105, 15, 21), neighbours=([], [2], [3, 4, 1], [2], [2])
+    )
 
 
 ASYMMETRIC = Graph.from_edges(4, [(2, 3), (2, 4)])
