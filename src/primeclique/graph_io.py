@@ -20,19 +20,21 @@ ids ascending and space-separated, lines sorted lexicographically as
 strings, optional tab-separated decimal clique id, trailing newline.
 ``write_cliques`` prints the ids it is handed and recomputes none.
 
-Both the one-pass parse and ``write_cliques`` read vertex names from one
-table kept for the life of the process: each id 1..top to ``str(id)``, and
-its inverse. Looking up anything else, 0, a negative or a non-canonical
-spelling, is a ``KeyError``. A call grows it to its largest id, but to no
-more ids than the call has tokens or members, by building a larger table
-and rebinding the module name to it; a table is never changed in place, so
-a concurrent reader always holds a whole one.
+The parses and ``write_cliques`` read vertex names from one table kept for
+the life of the process: each id 1..top to ``str(id)``, and its inverse.
+Only the parses grow it: the one-pass parse to min(N, its token count),
+the line loop and ``parse_edge_list`` to min(N, 2 * edges), by building a
+larger table and rebinding the module name to it; a table is never changed
+in place, so a concurrent reader always holds a whole one. The inverse,
+which the one-pass parse reads, fails closed: looking up anything but the
+canonical spelling of 1..top, such as ``"0"``, a sign or ``"007"``, is a
+``KeyError``. ``write_cliques`` only reads the forward table, and names by
+``str`` any id it lacks: 0, a negative or one past top.
 """
 
 import math
 from collections.abc import Iterable, Mapping
 from itertools import combinations, compress, islice, repeat
-from operator import itemgetter
 
 from .encoding import Graph
 from .errors import ParseError
@@ -50,19 +52,27 @@ __all__ = [
     "SplitMix64",
 ]
 
+
+class _NameDict(dict):
+    """Each id 1..top to ``str(id)``; an id it lacks is named by ``str`` too,
+    not stored, so a hit stays a plain ``dict`` lookup."""
+
+    __missing__ = staticmethod(str)
+
+
 # The name table (module docstring): each id 1..top to its name, and each
 # name to its id. Rebound to a larger pair, never mutated.
-_names: tuple[dict[int, str], dict[str, int]] = ({}, {})
+_names: tuple[_NameDict, dict[str, int]] = (_NameDict(), {})
 
 
-def _name_table(top: int) -> tuple[dict[int, str], dict[str, int]]:
+def _name_table(top: int) -> tuple[_NameDict, dict[str, int]]:
     """The name table, rebuilt over 1..``top`` first where it stops below."""
     global _names
     table = _names
     if len(table[0]) < top:
         ids = range(1, top + 1)
         names = list(map(str, ids))
-        table = _names = (dict(zip(ids, names)), dict(zip(names, ids)))
+        table = _names = (_NameDict(zip(ids, names)), dict(zip(names, ids)))
     return table
 
 
@@ -163,7 +173,11 @@ def _parse_dimacs_lines(text: str) -> Graph:
             raise ParseError(f"unknown line type {fields[0]!r}", lineno)
     if n is None:
         raise ParseError("missing p-line")
-    return Graph.from_edges(n, pairs)
+    g = Graph.from_edges(n, pairs)
+    # The edges name at most 2 * edges vertices, so a large N with few edges
+    # grows the table by no more than they do.
+    _name_table(min(n, 2 * len(g.edges)))
+    return g
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -187,7 +201,9 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"self-loop at vertex {u}", lineno)
         n = max(n, u, v)
         pairs.append((u, v))
-    return Graph.from_edges(n, pairs)
+    g = Graph.from_edges(n, pairs)
+    _name_table(min(n, 2 * len(g.edges)))
+    return g
 
 
 def write_dimacs(g: Graph) -> str:
@@ -329,24 +345,19 @@ def write_cliques(cliques: Iterable[Iterable[int]] | Mapping[int, Iterable[int]]
 
     Given a mapping from clique id to its vertex ids, such as
     ``solve_graph`` returns, each line gains a tab and the decimal id; given
-    a plain iterable of cliques, lines carry no id. Each clique is read and
-    sorted once, so any iterable of members will do. Members are named from
-    the name table the process keeps (module docstring), grown to the
-    largest member but to no more ids than the lines print members, so
-    growing it costs no more than naming them. If a member is not in it,
-    every member is named by ``str``.
+    a plain iterable of cliques, lines carry no id. One streamed pass sorts
+    each clique, names its members and joins them into its line, so each
+    clique is read once and any iterable of members will do. Members are
+    named from the name table the parses grow (module docstring); this
+    only reads it, and a member it lacks is named by ``str``.
     """
     with_ids = isinstance(cliques, Mapping)
-    rows = list(map(sorted, cliques.values() if with_ids else cliques))
-    top = max(map(itemgetter(-1), filter(None, rows)), default=0)
-    table = _names if top <= len(_names[0]) else _name_table(min(top, sum(map(len, rows))))
-    name = table[0].__getitem__
-    try:
-        lines = list(map(" ".join, map(map, repeat(name), rows)))
-    except KeyError:
-        lines = list(map(" ".join, map(map, repeat(str), rows)))
+    rows = map(sorted, cliques.values() if with_ids else cliques)
+    lines = map(" ".join, map(map, repeat(_names[0].__getitem__), rows))
     if with_ids:
         lines = [f"{line}\t{i}" for line, i in zip(lines, cliques)]
+    else:
+        lines = list(lines)
     # A line that is a prefix of another is followed there by a space, a
     # digit or a sign, all above the newline, so the lines sort as they
     # would with their newlines.

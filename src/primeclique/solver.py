@@ -366,6 +366,17 @@ def _peel(eg: EncodedGraph, unpeeled: bytearray, emitted: dict[int, tuple[int, .
     return len(peel)
 
 
+def _expanded_ids(classes: Iterable[tuple[int, ...]]) -> list[int]:
+    """The product of each choice of one prime per class, in the order of
+    ``itertools.product`` over the classes: running products, one class at
+    a time, so each id costs under two multiplies where classes hold two
+    primes or more, not one per member."""
+    ids = [1]
+    for primes in classes:
+        ids = [i * p for i in ids for p in primes]
+    return ids
+
+
 def find_cliques(
     eg: EncodedGraph, *, sanitize: bool = True
 ) -> tuple[dict[int, tuple[int, ...]], SolverStats]:
@@ -551,7 +562,7 @@ def find_cliques(
                     # classes, in product order (module docstring).
                     emitted.update(
                         zip(
-                            map(math.prod, product(*map(primes_of.__getitem__, clique))),
+                            _expanded_ids(map(primes_of.__getitem__, clique)),
                             product(*map(members_of.__getitem__, clique)),
                         )
                     )
@@ -567,7 +578,7 @@ def find_cliques(
                 break
     # Every weight the enumeration forms divides an input weight (partition
     # divides or takes a gcd, elimination divides), so the input is widest.
-    max_weight_bits = max(map(int.bit_length, islice(weights, 1, None)), default=0)
+    max_weight_bits = max(islice(weights, 1, None), default=0).bit_length()
     return emitted, SolverStats(
         merges=merges,
         pivot_splits=splits,

@@ -366,8 +366,7 @@ def test_write_cliques_orders_lines_as_strings():
 
 def test_write_cliques_reads_each_clique_once_and_names_every_member():
     # One-shot members, unsorted, and members across every change of digit
-    # count, 0 included. The descending run 10000..0 prints enough members
-    # for the call to grow the name table to 10000, and its 0 is not in it.
+    # count, 0 included, which the name table never holds.
     with_ids = {
         110: (v for v in (10, 9)),
         7: iter([10000, 0, 9]),
@@ -377,12 +376,11 @@ def test_write_cliques_reads_each_clique_once_and_names_every_member():
     }
     run = " ".join(map(str, range(10001)))
     assert write_cliques(with_ids) == f"{run}\t2\n0 10\t3\n0 9 10000\t7\n9\t13\n9 10\t110\n"
-    # Too few members to grow the table to 10000 (the first call grew it, so
-    # here it is read): the bytes of naming each member by itself.
+    # Members the table may lack, past the ids a parse grew it to, print as
+    # themselves.
     plain = ((v for v in c) for c in ([10, 9], [10000, 0], [9, 10], []))
     assert write_cliques(plain) == "\n0 10000\n9 10\n9 10\n"
-    # Enough members to grow the table to 2, but -1 and 0 are not in it and
-    # must print as themselves.
+    # -1 and 0 are never in the table and must print as themselves.
     assert write_cliques(iter(c) for c in ([2, 1], [1, -1, 2], [0, 2])) == "-1 1 2\n0 2\n1 2\n"
 
 
@@ -409,7 +407,7 @@ def test_write_cliques_equals_naming_each_member_by_str(cliques):
     expected = reference_write_cliques(cliques)
     kept = graph_io._names
     try:
-        graph_io._names = ({}, {})
+        graph_io._names = (graph_io._NameDict(), {})
         assert write_cliques(cliques) == expected
         parse_dimacs(GROWN)
         assert len(graph_io._names[0]) == 1200
@@ -421,7 +419,7 @@ def test_write_cliques_equals_naming_each_member_by_str(cliques):
 def test_write_cliques_grows_no_table_past_the_members_it_prints(monkeypatch):
     # A table over 1..10^6 would take about 100 MB, and over 1..10^9 far more.
     for cliques, out in [([[10**9]], "1000000000\n"), ({2: (1, 10**6)}, "1 1000000\t2\n")]:
-        monkeypatch.setattr(graph_io, "_names", ({}, {}))
+        monkeypatch.setattr(graph_io, "_names", (graph_io._NameDict(), {}))
         tracemalloc.start()
         try:
             text = write_cliques(cliques)
@@ -430,3 +428,50 @@ def test_write_cliques_grows_no_table_past_the_members_it_prints(monkeypatch):
             tracemalloc.stop()
         assert peak < 64 * 1024
         assert text == out
+
+
+def test_write_cliques_only_reads_the_name_table(monkeypatch):
+    # From a fresh table, members past it, 0, a negative and 10^9, print as
+    # their str, from a Mapping and from a one-shot iterable, and the call
+    # adds no name: only the parses grow the table.
+    monkeypatch.setattr(graph_io, "_names", (graph_io._NameDict(), {}))
+    with_ids = {30: (3, 0, 2), 7: [10**9, -4, 1], 5: ()}
+    plain = (iter(c) for c in [(2, 1, 3), (10**9, 0), (-4, 5, 4, 6)])
+    assert write_cliques(with_ids) == reference_write_cliques(with_ids)
+    assert write_cliques(plain) == reference_write_cliques([(2, 1, 3), (10**9, 0), (-4, 5, 4, 6)])
+    assert len(graph_io._names[0]) == 0
+
+
+def test_every_parse_path_grows_the_name_table(monkeypatch):
+    # The one-pass text, a CRLF copy with a comment line, and its edge list:
+    # the last two take line loops, which grow the table too.
+    g = gen_moon_moser(4)
+    text = write_dimacs(g)
+    crlf = "c Moon-Moser 4\r\n" + text.replace("\n", "\r\n")
+    edges = "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
+    assert _parse_dimacs_tokens(text) == g
+    assert _parse_dimacs_tokens(crlf) is None
+    for parse, source in [(parse_dimacs, text), (parse_dimacs, crlf), (parse_edge_list, edges)]:
+        monkeypatch.setattr(graph_io, "_names", (graph_io._NameDict(), {}))
+        assert parse(source) == g
+        assert all(v in graph_io._names[0] for edge in g.edges for v in edge)
+
+
+def test_line_loops_grow_no_table_past_twice_the_edges(monkeypatch):
+    # N = 10^9 and two edges, through the DIMACS line loop (for its comment)
+    # and as an edge list: each grows at most min(N, 2 * edges) = 4 names.
+    edges = {(1, 10**9), (2, 3)}
+    for parse, text in [
+        (parse_dimacs, "c x\np edge 1000000000 2\ne 1 1000000000\ne 2 3\n"),
+        (parse_edge_list, "1 1000000000\n2 3\n"),
+    ]:
+        monkeypatch.setattr(graph_io, "_names", (graph_io._NameDict(), {}))
+        tracemalloc.start()
+        try:
+            g = parse(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert g == Graph(10**9, frozenset(edges))
+        assert len(graph_io._names[0]) <= 4
